@@ -77,7 +77,7 @@ struct AggChainSyncRecord {
   std::vector<std::vector<std::uint32_t>> filters;
 };
 
-/// Shard-0-confined store of sync records, shared by the controller and
+/// Store of sync records, shared by the controller and
 /// every replica program. Lookup is linear: a run carries a handful of
 /// records, never thousands.
 class AggChainSyncHub {

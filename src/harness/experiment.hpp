@@ -16,13 +16,17 @@
 #include "baselines/racksched_program.hpp"
 #include "common/types.hpp"
 #include "core/netclone_program.hpp"
-#include "harness/engine.hpp"
 #include "harness/faults.hpp"
 #include "host/client.hpp"
 #include "host/server.hpp"
 #include "phys/topology.hpp"
 #include "pisa/switch_device.hpp"
 #include "sim/scheduler.hpp"
+#include "wire/framebuf.hpp"
+
+namespace netclone::sim {
+class Simulator;
+}  // namespace netclone::sim
 
 namespace netclone::harness {
 
@@ -67,18 +71,6 @@ struct ClusterConfig {
   /// Timed faults installed at build time and fired through the
   /// Scheduler (deterministic relative to every other event).
   FaultPlan faults{};
-
-  /// Event-queue shards. 0 = resolve from NETCLONE_SHARDS, falling back
-  /// to the single-queue legacy engine when the variable is unset too.
-  /// Any value >= 1 uses sim::ShardedSimulator (1 = sharded machinery on
-  /// one queue — the merge-overhead baseline). Digests are bit-identical
-  /// for every choice.
-  std::size_t num_shards = 0;
-  /// Optional per-host shard override, indexed servers-then-clients in
-  /// build order (s0..sN, then c0..cM; the switch and the LÆDGE
-  /// coordinator are always shard 0). Empty = round-robin hosts across
-  /// shards 1..N-1 (all on shard 0 when N == 1).
-  std::vector<std::uint32_t> shard_assignment;
 };
 
 struct ExperimentResult {
@@ -153,20 +145,14 @@ class Experiment {
   }
 
   /// Scheduling surface of the engine, for tests/benches that inject
-  /// events (failures, reconfigurations) into a run. In a sharded run
-  /// this is the control scheduler: events fire at a global barrier,
-  /// ordered before same-instant shard events — the same place the
-  /// legacy engine's install-time tiny seqs put them.
+  /// events (failures, reconfigurations) into a run.
   [[nodiscard]] sim::Scheduler& scheduler();
   /// Engine telemetry: events executed so far (determinism fingerprint)
   /// and the share of those folded into neighbours by burst coalescing.
   [[nodiscard]] std::uint64_t executed_events() const;
   [[nodiscard]] std::uint64_t absorbed_events() const;
-  /// Shards actually in use (0 = unsharded legacy engine).
-  [[nodiscard]] std::size_t num_shards() const;
-  /// Frame-pool balance sheets: one entry per shard pool, or a single
-  /// entry for the process-wide pool when unsharded. The invariant
-  /// auditor checks live == acquired − released on each.
+  /// Frame-pool balance sheet of the process-wide pool, as a one-entry
+  /// list. The invariant auditor checks live == acquired − released.
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
   [[nodiscard]] pisa::SwitchDevice& tor() { return *switch_; }
   [[nodiscard]] const pisa::SwitchDevice& tor() const { return *switch_; }
@@ -184,17 +170,6 @@ class Experiment {
  private:
   void build();
   [[nodiscard]] ExperimentResult collect() const;
-  /// Scheduler a node on `shard` runs on (the single engine when
-  /// unsharded).
-  [[nodiscard]] sim::Scheduler& shard_scheduler(std::size_t shard);
-  /// Shard of the host with build-order index `host_index`
-  /// (servers-then-clients).
-  [[nodiscard]] std::size_t host_shard(std::size_t host_index) const;
-  /// topology_->connect() plus, when the endpoints' shards differ, the
-  /// cross-shard mailbox wiring for both directions.
-  phys::DuplexPorts connect_nodes(phys::Node& a, std::size_t shard_a,
-                                  phys::Node& b, std::size_t shard_b,
-                                  phys::LinkParams params = {});
   void record_link(const std::string& a, const std::string& b,
                    const phys::DuplexPorts& ports);
   /// Per-link impairment RNG seed, derived from the config seed and the
@@ -205,7 +180,7 @@ class Experiment {
   Rng root_rng_;
   // The engine must outlive topology_ (links cancel events and nodes
   // release pooled frames on destruction), so it is declared before it.
-  std::unique_ptr<EngineContext> engine_;
+  std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<phys::Topology> topology_;
   pisa::SwitchDevice* switch_ = nullptr;
   std::vector<host::Server*> servers_;

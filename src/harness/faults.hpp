@@ -31,7 +31,7 @@
 //     at=5ms  agg_rejoin  agg1          # recover + snapshot + re-admit
 //
 // agg_fail/agg_rejoin are schedule-managed: installing the plan expands
-// each into the crash/recover barrier plus the delayed reconcile-marker
+// each into the crash/recover event plus the delayed reconcile-marker
 // and spray-readmission events.
 #pragma once
 

@@ -109,24 +109,14 @@ void audit_filter(InvariantReport& report, const std::string& who,
             " + injected_stale_entries " + u64(injected));
 }
 
-void audit_pools(InvariantReport& report,
-                 const std::vector<wire::FramePool::Stats>& pools) {
-  // One balance sheet per shard pool (a single global one when
-  // unsharded). Cross-shard handoffs are byte copies, so every buffer
-  // releases into the pool that acquired it and each sheet must balance
-  // on its own.
-  for (std::size_t i = 0; i < pools.size(); ++i) {
-    const wire::FramePool::Stats& pool = pools[i];
-    const std::string who =
-        pools.size() == 1 ? std::string("frame pool")
-                          : "frame pool (shard " + std::to_string(i) + ")";
-    check(report, pool.released > pool.acquired,
-          who + ": released " + u64(pool.released) + " exceeds acquired " +
-              u64(pool.acquired));
-    check(report, pool.live != pool.acquired - pool.released,
-          who + ": live " + u64(pool.live) + " != acquired " +
-              u64(pool.acquired) + " - released " + u64(pool.released));
-  }
+void audit_pool(InvariantReport& report,
+                const wire::FramePool::Stats& pool) {
+  check(report, pool.released > pool.acquired,
+        "frame pool: released " + u64(pool.released) + " exceeds acquired " +
+            u64(pool.acquired));
+  check(report, pool.live != pool.acquired - pool.released,
+        "frame pool: live " + u64(pool.live) + " != acquired " +
+            u64(pool.acquired) + " - released " + u64(pool.released));
 }
 
 // ---- shared digest folds -------------------------------------------------
@@ -280,7 +270,7 @@ InvariantReport audit_invariants(const Experiment& exp) {
     audit_filter(report, "program", ps.filtered_responses,
                  ps.fingerprints_stored, ps.injected_stale_entries);
   }
-  audit_pools(report, exp.frame_pool_stats());
+  audit_pool(report, exp.frame_pool_stats().front());
   return report;
 }
 
@@ -421,7 +411,7 @@ InvariantReport audit_invariants(const MultiRackExperiment& exp) {
     }
   }
 
-  audit_pools(report, exp.frame_pool_stats());
+  audit_pool(report, exp.frame_pool_stats().front());
   return report;
 }
 

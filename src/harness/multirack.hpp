@@ -21,11 +21,6 @@
 //
 // Oversubscription is expressed through the link parameters: `host_link`
 // for edge links, `trunk_link` for ToR↔agg uplinks and the chain.
-//
-// Sharded execution: each rack (ToR + its hosts) is one event-queue
-// shard by default; the aggregation tier lives on shard 0. Digests are
-// bit-identical for every shard count — the same contract Experiment
-// honors, via the same EngineContext.
 #pragma once
 
 #include <memory>
@@ -37,7 +32,6 @@
 #include "core/agg_netclone_program.hpp"
 #include "core/netclone_program.hpp"
 #include "harness/chain_controller.hpp"
-#include "harness/engine.hpp"
 #include "harness/experiment.hpp"
 #include "harness/faults.hpp"
 
@@ -89,13 +83,6 @@ struct MultiRackConfig {
   /// agg_rejoin: delay before the rejoined replica re-enters the client
   /// ToR's ECMP spray set (the admit marker must have landed by then).
   SimTime chain_readmit_delay = SimTime::microseconds(50);
-  /// Event-queue shards, resolved exactly like ClusterConfig::num_shards
-  /// (0 = NETCLONE_SHARDS, unset -> legacy engine).
-  std::size_t num_shards = 0;
-  /// Optional shard per rack: entry 0 is the client rack, entries 1..N
-  /// the server racks (a rack's ToR and hosts share its shard; the
-  /// aggregation tier is always shard 0). Empty = rack r -> r % shards.
-  std::vector<std::uint32_t> rack_shards;
 };
 
 /// One built-and-runnable fat-tree pod; see Experiment for the lifecycle.
@@ -165,17 +152,14 @@ class MultiRackExperiment {
   [[nodiscard]] sim::Scheduler& scheduler();
   [[nodiscard]] std::uint64_t executed_events() const;
   [[nodiscard]] std::uint64_t absorbed_events() const;
-  [[nodiscard]] std::size_t num_shards() const;
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 
  private:
   void build();
   void install_fault_plan(const FaultPlan& plan);
   [[nodiscard]] std::uint64_t impairment_seed(const std::string& name) const;
-  /// Shard of rack `rack` (0 = client rack, 1..N = server racks).
-  [[nodiscard]] std::size_t rack_shard(std::size_t rack) const;
-  phys::DuplexPorts connect_nodes(phys::Node& a, std::size_t shard_a,
-                                  phys::Node& b, std::size_t shard_b,
+  /// topology_->connect() with the build-order delay skew applied.
+  phys::DuplexPorts connect_nodes(phys::Node& a, phys::Node& b,
                                   phys::LinkParams params);
   void record_link(const std::string& a, const std::string& b,
                    const phys::DuplexPorts& ports);
@@ -184,7 +168,7 @@ class MultiRackExperiment {
   Rng root_rng_;
   // The engine must outlive topology_ (links cancel events and nodes
   // release pooled frames on destruction), so it is declared before it.
-  std::unique_ptr<EngineContext> engine_;
+  std::unique_ptr<sim::Simulator> sim_;
   std::unique_ptr<phys::Topology> topology_;
   pisa::SwitchDevice* client_tor_ = nullptr;
   std::vector<pisa::SwitchDevice*> aggs_;

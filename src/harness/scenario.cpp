@@ -237,8 +237,6 @@ Scenario parse_scenario(const std::string& text) {
         scenario.aggs = parse_u64(value, key);
       } else if (key == "agg_mode") {
         scenario.agg_mode = lower(value);
-      } else if (key == "shards") {
-        scenario.shards = parse_u64(value, key);
       } else if (key == "shape") {
         scenario.shape = lower(value);
       } else if (key == "flash_at_ms") {
@@ -396,7 +394,6 @@ MultiRackConfig Scenario::build_multirack_config() const {
   cfg.measure = SimTime::milliseconds(measure_ms);
   cfg.seed = seed;
   cfg.faults = faults;
-  cfg.num_shards = static_cast<std::size_t>(shards);
   make_workload(*this, cfg.factory, cfg.service);
   apply_traffic_shape(*this, cfg.client_template);
   return cfg;
@@ -476,7 +473,6 @@ title      = scenario
 # aggs             = 2      # parallel aggregation switches
 # agg_mode         = oblivious  # oblivious | replicated (chain-replicated
 #                               # NetClone-aware aggregation tier)
-# shards           = 0      # event-queue shards (0 = NETCLONE_SHARDS)
 # Production traffic shapes (compile into client rate profiles/weights).
 # shape            = steady # steady | flash | diurnal
 # flash_at_ms      = 10

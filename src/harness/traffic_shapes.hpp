@@ -2,7 +2,7 @@
 //
 // Each generator produces plain client parameters — a piecewise-constant
 // rate profile (host::RateSegment) or a group-weight vector — so shapes
-// compose with every scheme, engine, and fault plan without touching the
+// compose with every scheme, harness, and fault plan without touching the
 // data path: a flash crowd is just a rate profile, a Zipf sweep just a
 // weight vector over the candidate groups.
 #pragma once

@@ -11,20 +11,7 @@ namespace {
 
 bool g_fastpath_enabled = true;
 
-/// Pool the current thread allocates from when one is bound (a shard's
-/// pool while that shard executes); nullptr falls back to the process-wide
-/// singleton.
-thread_local FramePool* g_bound_pool = nullptr;
-
 }  // namespace
-
-FramePool* FramePool::bind_to_thread(FramePool* pool) {
-  FramePool* prev = g_bound_pool;
-  g_bound_pool = pool;
-  return prev;
-}
-
-FramePool* FramePool::thread_bound() { return g_bound_pool; }
 
 bool packet_fastpath_enabled() { return g_fastpath_enabled; }
 void set_packet_fastpath_enabled(bool enabled) {
@@ -91,9 +78,6 @@ void FramePool::release(FrameBuf* buf) {
 }
 
 FramePool& FramePool::instance() {
-  if (g_bound_pool != nullptr) {
-    return *g_bound_pool;
-  }
   static FramePool pool;
   return pool;
 }

@@ -92,18 +92,8 @@ class FramePool {
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// The pool the data path allocates from: the thread-bound pool when a
-  /// shard has installed one (sharded runs), else the process-wide
-  /// singleton (the legacy single-threaded engine).
+  /// The process-wide pool the data path allocates from.
   [[nodiscard]] static FramePool& instance();
-
-  /// Binds `pool` as this thread's allocation pool (nullptr unbinds) and
-  /// returns the previous binding. Buffers still release to the pool that
-  /// acquired them — the FrameBuf back-pointer, not the binding — so a
-  /// handle that outlives a binding change stays balanced in its home
-  /// pool's stats.
-  static FramePool* bind_to_thread(FramePool* pool);
-  [[nodiscard]] static FramePool* thread_bound();
 
  private:
   static constexpr std::size_t kClassCount = 6;
@@ -113,22 +103,6 @@ class FramePool {
 
   FrameBuf* free_[kClassCount] = {};
   Stats stats_;
-};
-
-/// Scoped FramePool::bind_to_thread: installs `pool` for the lifetime of
-/// the binding and restores the previous one on exit. Shards wrap every
-/// execution slice in one so node code allocating through
-/// FramePool::instance() transparently hits the shard's pool.
-class ScopedPoolBinding {
- public:
-  explicit ScopedPoolBinding(FramePool& pool)
-      : prev_(FramePool::bind_to_thread(&pool)) {}
-  ~ScopedPoolBinding() { (void)FramePool::bind_to_thread(prev_); }
-  ScopedPoolBinding(const ScopedPoolBinding&) = delete;
-  ScopedPoolBinding& operator=(const ScopedPoolBinding&) = delete;
-
- private:
-  FramePool* prev_;
 };
 
 /// Largest contiguous header region a frame can carry (Ethernet + IPv4 +

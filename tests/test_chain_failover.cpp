@@ -1,7 +1,7 @@
 // Chain fail-over and rejoin on the replicated aggregation tier: killing
 // and re-admitting every chain position (head, middle, tail) must keep
-// the extended auditor clean, reproduce bit-identical chaos digests
-// across the legacy engine and 1/4-shard runs, move the verdict
+// the extended auditor clean, reproduce the committed chaos digests bit
+// for bit on a same-seed rerun in the same process, move the verdict
 // authority when the tail dies, and resync a rejoined replica to the
 // exact soft-state image of the survivors. The randomized quick sweep at
 // the end is the tier-1 slice of the full multi-rack chaos lane
@@ -22,9 +22,6 @@
 
 namespace netclone::harness {
 namespace {
-
-// Legacy engine, sharded machinery on one queue, and a full split.
-constexpr std::size_t kShardCounts[] = {0, 1, 4};
 
 // Three replicas so head (agg0), middle (agg1), and tail (agg2) are
 // distinct chain positions; two server racks so candidate pairs span
@@ -67,26 +64,23 @@ struct RunOutcome {
   std::uint64_t completed = 0;
 };
 
-RunOutcome run_with_shards(MultiRackConfig cfg, std::size_t shards,
-                           std::size_t rejoined) {
-  cfg.num_shards = shards;
+RunOutcome run_once(const MultiRackConfig& cfg, std::size_t rejoined) {
   MultiRackExperiment exp{cfg};
   const ExperimentResult result = exp.run();
 
   const InvariantReport report = audit_invariants(exp);
-  EXPECT_TRUE(report.ok()) << "shards=" << shards << ":\n"
-                           << report.to_string();
+  EXPECT_TRUE(report.ok()) << report.to_string();
 
   const ChainController* ctrl = exp.chain_controller();
   EXPECT_NE(ctrl, nullptr);
   std::vector<std::size_t> members;
   if (ctrl != nullptr) {
-    EXPECT_TRUE(ctrl->quiescent()) << "shards=" << shards;
+    EXPECT_TRUE(ctrl->quiescent());
     EXPECT_EQ(ctrl->fails_of(rejoined), 1u);
     members = ctrl->admitted_members();
   }
   EXPECT_EQ(members.size(), cfg.num_aggs)
-      << "shards=" << shards << ": the rejoined replica never re-admitted";
+      << "the rejoined replica never re-admitted";
 
   // Resync correctness: the rejoined node carries the exact soft-state
   // image of every survivor, and its filter table holds no more live
@@ -96,11 +90,9 @@ RunOutcome run_with_shards(MultiRackConfig cfg, std::size_t shards,
   for (const std::size_t a : members) {
     EXPECT_EQ(exp.agg_netclone_program(a).soft_state_digest(),
               rejoined_program.soft_state_digest())
-        << "shards=" << shards << ": agg" << a
-        << " diverged from the rejoined replica";
+        << "agg" << a << " diverged from the rejoined replica";
     EXPECT_EQ(exp.agg_netclone_program(a).filter_occupancy(),
-              rejoined_program.filter_occupancy())
-        << "shards=" << shards;
+              rejoined_program.filter_occupancy());
   }
   EXPECT_GT(rejoined_program.stats().chain_sync_installs, 0u)
       << "rejoin never installed a snapshot";
@@ -112,49 +104,58 @@ RunOutcome run_with_shards(MultiRackConfig cfg, std::size_t shards,
   return out;
 }
 
-void expect_identical_across_shards(const MultiRackConfig& cfg,
-                                    std::size_t rejoined,
-                                    const char* what) {
-  const RunOutcome reference =
-      run_with_shards(cfg, kShardCounts[0], rejoined);
-  EXPECT_GT(reference.completed, 0u) << what << ": nothing completed";
-  for (std::size_t i = 1; i < std::size(kShardCounts); ++i) {
-    const std::size_t shards = kShardCounts[i];
-    const RunOutcome outcome = run_with_shards(cfg, shards, rejoined);
-    EXPECT_EQ(outcome.digest, reference.digest)
-        << what << ": digest diverged at " << shards << " shards";
-    EXPECT_EQ(outcome.executed, reference.executed)
-        << what << ": executed_events diverged at " << shards << " shards";
-    EXPECT_EQ(outcome.completed, reference.completed)
-        << what << ": completions diverged at " << shards << " shards";
+/// Committed chaos digest and event count of one kill-and-rejoin run.
+struct Expected {
+  std::uint64_t seed;
+  std::uint64_t digest;
+  std::uint64_t executed;
+};
+
+/// Kills and rejoins `replica` under each seed: the first run must hit
+/// the committed digest and event count, and a same-seed rerun in the
+/// same process must match it bit for bit.
+void expect_reproducible(std::size_t replica, const char* position,
+                         const Expected (&runs)[3]) {
+  for (const Expected& want : runs) {
+    MultiRackConfig cfg = pod_config(want.seed);
+    cfg.faults = kill_and_rejoin(replica);
+    const std::string what =
+        std::string(position) + " seed " + std::to_string(want.seed);
+    const RunOutcome first = run_once(cfg, replica);
+    EXPECT_GT(first.completed, 0u) << what << ": nothing completed";
+    EXPECT_EQ(first.digest, want.digest)
+        << what << ": committed digest moved";
+    EXPECT_EQ(first.executed, want.executed)
+        << what << ": committed executed_events moved";
+    const RunOutcome again = run_once(cfg, replica);
+    EXPECT_EQ(again.digest, first.digest)
+        << what << ": rerun digest diverged";
+    EXPECT_EQ(again.executed, first.executed)
+        << what << ": rerun executed_events diverged";
+    EXPECT_EQ(again.completed, first.completed)
+        << what << ": rerun completions diverged";
   }
 }
 
-TEST(ChainFailover, HeadKillAndRejoinConvergesAcrossShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    MultiRackConfig cfg = pod_config(seed);
-    cfg.faults = kill_and_rejoin(0);
-    expect_identical_across_shards(
-        cfg, 0, ("head seed " + std::to_string(seed)).c_str());
-  }
+TEST(ChainFailover, HeadKillAndRejoinIsReproducible) {
+  expect_reproducible(0, "head",
+                      {{11, 15821638172054563613ULL, 41953},
+                       {12, 16815542150785496114ULL, 43156},
+                       {13, 6424308912143351171ULL, 41769}});
 }
 
-TEST(ChainFailover, MiddleKillAndRejoinConvergesAcrossShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    MultiRackConfig cfg = pod_config(seed);
-    cfg.faults = kill_and_rejoin(1);
-    expect_identical_across_shards(
-        cfg, 1, ("middle seed " + std::to_string(seed)).c_str());
-  }
+TEST(ChainFailover, MiddleKillAndRejoinIsReproducible) {
+  expect_reproducible(1, "middle",
+                      {{11, 2792153594731767473ULL, 41955},
+                       {12, 6441841640365452314ULL, 42964},
+                       {13, 9546518622147018451ULL, 42160}});
 }
 
-TEST(ChainFailover, TailKillAndRejoinConvergesAcrossShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    MultiRackConfig cfg = pod_config(seed);
-    cfg.faults = kill_and_rejoin(2);
-    expect_identical_across_shards(
-        cfg, 2, ("tail seed " + std::to_string(seed)).c_str());
-  }
+TEST(ChainFailover, TailKillAndRejoinIsReproducible) {
+  expect_reproducible(2, "tail",
+                      {{11, 3108697637786792060ULL, 41586},
+                       {12, 14039231625134162099ULL, 42962},
+                       {13, 8028654884011870848ULL, 42158}});
 }
 
 TEST(ChainFailover, TailDeathMovesVerdictAuthority) {
@@ -211,8 +212,7 @@ TEST(ChainFailover, SurvivorsStayConvergentWithoutRejoin) {
 TEST(ChainFailover, QuickChaosSweepIsAuditCleanAndReproducible) {
   // Randomized fail/rejoin schedules (positions and instants drawn from
   // a per-seed stream, spaced by the installer's contract) must stay
-  // audit-clean and digest-identical between the legacy engine and a
-  // 4-shard run.
+  // audit-clean and digest-identical on a same-seed rerun.
   for (const std::uint64_t seed : {21u, 22u, 23u}) {
     Rng rng{seed * 7919};
     MultiRackConfig cfg = pod_config(seed);
@@ -238,18 +238,16 @@ TEST(ChainFailover, QuickChaosSweepIsAuditCleanAndReproducible) {
       cfg.faults.events.push_back(second);
     }
 
-    const auto digest_at = [&](std::size_t shards) {
-      MultiRackConfig run_cfg = cfg;
-      run_cfg.num_shards = shards;
-      MultiRackExperiment exp{run_cfg};
+    const auto digest_of_run = [&] {
+      MultiRackExperiment exp{cfg};
       (void)exp.run();
       const InvariantReport report = audit_invariants(exp);
       EXPECT_TRUE(report.ok())
-          << "seed " << seed << " shards " << shards << ":\n"
-          << report.to_string();
+          << "seed " << seed << ":\n" << report.to_string();
       return chaos_digest(exp);
     };
-    EXPECT_EQ(digest_at(0), digest_at(4)) << "seed " << seed;
+    const std::uint64_t first = digest_of_run();
+    EXPECT_EQ(digest_of_run(), first) << "seed " << seed;
   }
 }
 

@@ -125,13 +125,32 @@ TEST(ScenarioDiagnostics, FileErrorsCarryPath) {
   std::remove(path.c_str());
 }
 
+TEST(ScenarioDiagnostics, RetiredEngineKeyIsRejected) {
+  // The simulator has one event engine; a file still carrying the
+  // retired engine key must fail loudly, not be silently ignored.
+  const std::string path = ::testing::TempDir() + "netclone_retired.cfg";
+  {
+    std::ofstream out{path};
+    out << "racks = 2\nservers_per_rack = 2\nshards = 3\n";
+  }
+  try {
+    (void)load_scenario_file(path);
+    ADD_FAILURE() << "expected ScenarioError";
+  } catch (const ScenarioError& err) {
+    const std::string msg = err.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("unknown key 'shards'"), std::string::npos) << msg;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ScenarioParse, FatTreeKeys) {
   const Scenario s = parse_scenario(R"(
     racks = 3
     servers_per_rack = 4
     aggs = 2
     agg_mode = replicated
-    shards = 3
     shape = diurnal
     skew = 1.1
     hotspot_rack = 2
@@ -141,7 +160,6 @@ TEST(ScenarioParse, FatTreeKeys) {
   EXPECT_EQ(s.servers_per_rack, 4u);
   EXPECT_EQ(s.aggs, 2u);
   EXPECT_EQ(s.agg_mode, "replicated");
-  EXPECT_EQ(s.shards, 3u);
   EXPECT_EQ(s.total_servers(), 12u);
   ASSERT_TRUE(s.hotspot_rack.has_value());
   EXPECT_EQ(*s.hotspot_rack, 2u);
@@ -208,7 +226,6 @@ TEST(ScenarioBuild, MultiRackConfigWiring) {
     agg_mode = replicated
     workers = 8
     clients = 3
-    shards = 2
     seed = 9
   )");
   const MultiRackConfig cfg = s.build_multirack_config();
@@ -218,7 +235,6 @@ TEST(ScenarioBuild, MultiRackConfigWiring) {
   EXPECT_EQ(cfg.agg_mode, AggMode::kReplicated);
   EXPECT_EQ(cfg.workers, 8u);
   EXPECT_EQ(cfg.num_clients, 3u);
-  EXPECT_EQ(cfg.num_shards, 2u);
   EXPECT_EQ(cfg.seed, 9u);
   ASSERT_NE(cfg.factory, nullptr);
   // Capacity counts all racks' hosts.
