@@ -3,7 +3,7 @@
 
 Runs the repo's microbenchmarks (bench_sim_engine, bench_packet_path,
 bench_pisa_pipeline, bench_host_path, bench_fig16_failure,
-bench_multirack), compares the results against
+bench_multirack, bench_kv_store), compares the results against
 the committed BENCH_*.json baselines, and fails loudly on regression.
 
 What is gated, and how:
@@ -15,7 +15,8 @@ What is gated, and how:
     whichever runner executes the gate. A ratio may degrade by at most
     --tolerance (default 15%) relative to the baseline ratio.
   * Exact digests. The simulation is deterministic, so digest keys
-    (fig7_completed, fig7_p99_ns, pipeline_checks, multirack_digest, ...)
+    (fig7_completed, fig7_p99_ns, pipeline_checks, multirack_digest,
+    kv_table_digest, ...)
     must match the baseline bit for bit on any machine.
   * Absolute rates and wall-clock seconds are reported for information
     only — they do not transfer across machines.
@@ -39,7 +40,7 @@ import subprocess
 import sys
 
 BENCHES = ["sim_engine", "packet_path", "pisa_pipeline", "host_path",
-           "fig16", "multirack"]
+           "fig16", "multirack", "kv_store"]
 
 # Bench names whose binary is not simply bench_<name>.
 BINARIES = {"fig16": "bench_fig16_failure"}
@@ -49,12 +50,14 @@ BINARIES = {"fig16": "bench_fig16_failure"}
 # are bit-exact on any machine; its faulted-run counters (recovery time,
 # lost/duplicated requests) are reported as info rows. The fig7 keys are
 # recorded by bench_host_path, bench_packet_path and bench_pisa_pipeline.
+# kv_table_digest folds SCAN digests of bench_kv_store's 1M-object table.
 EXACT_KEYS = {"fig7_completed", "fig7_p99_ns", "fig7_executed_events",
               "pipeline_checks",
               "fig16_nofault_completed", "fig16_nofault_digest",
               "multirack_completed", "multirack_p99_ns",
               "multirack_executed_events", "multirack_digest",
-              "multirack_cloned_requests", "multirack_failover_digest"}
+              "multirack_cloned_requests", "multirack_failover_digest",
+              "kv_table_digest"}
 
 # Informational keys that are neither ratios nor digests.
 SKIP_KEYS = {"bench", "unit"}

@@ -51,20 +51,18 @@ wire::RpcResponse KvService::execute(const wire::RpcRequest& req) {
   wire::RpcResponse resp;
   switch (req.op) {
     case wire::RpcOp::kGet: {
-      const auto value = store_->get(key_for_index(req.key));
+      const auto value = store_->get(IndexKey{req.key}.view());
       if (!value) {
         resp.status = wire::RpcStatus::kNotFound;
         break;
       }
-      resp.value.reserve(value->size());
-      for (const char c : *value) {
-        resp.value.push_back(static_cast<std::byte>(c));
-      }
+      const auto* bytes = reinterpret_cast<const std::byte*>(value->data());
+      resp.value.assign(bytes, bytes + value->size());
       break;
     }
     case wire::RpcOp::kScan: {
       const std::uint64_t digest =
-          store_->scan_digest(key_for_index(req.key), req.scan_count);
+          store_->scan_digest(IndexKey{req.key}.view(), req.scan_count);
       resp.value.resize(8);
       for (std::size_t i = 0; i < 8; ++i) {
         resp.value[i] =

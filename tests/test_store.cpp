@@ -2,10 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace netclone::kv {
 namespace {
+
+/// Folds SCAN(100) digests from five start keys spread over the table:
+/// any change to slot layout, hashing or insertion order moves it.
+std::uint64_t scan_fold(const KvStore& store) {
+  std::uint64_t fold = 0;
+  for (const std::uint64_t i : {0U, 1U, 9973U, 54321U, 99999U}) {
+    fold = mix64(fold ^ store.scan_digest(key_for_index(i), 100));
+  }
+  return fold;
+}
 
 TEST(KvStore, SetAndGet) {
   KvStore store{16};
@@ -36,6 +49,23 @@ TEST(KvStore, RejectsOversizedKeysAndValues) {
   EXPECT_FALSE(store.set("k", std::string(65, 'v')));
   EXPECT_FALSE(store.set("", "v"));
   EXPECT_TRUE(store.set(std::string(16, 'k'), std::string(64, 'v')));
+}
+
+TEST(KvStore, SetAtLoadFactorBoundLeavesTableUnchanged) {
+  KvStore store{1000};  // capacity 2048: the bound is 1024 objects
+  populate(store, 1024);
+  ASSERT_EQ(store.size(), 1024U);
+  const std::uint64_t before = store.scan_digest(key_for_index(0), 1024);
+  // Committed constant: the table the per-object set() loop builds.
+  EXPECT_EQ(before, 0xE284FEDF42B4B9AEULL);
+  EXPECT_FALSE(store.set(key_for_index(1024), value_for_index(1024)));
+  EXPECT_FALSE(store.contains(key_for_index(1024)));
+  EXPECT_EQ(store.size(), 1024U);
+  EXPECT_EQ(store.scan_digest(key_for_index(0), 1024), before);
+  // Overwriting an existing key at the bound still succeeds.
+  EXPECT_TRUE(store.set(key_for_index(7), value_for_index(8)));
+  EXPECT_EQ(store.size(), 1024U);
+  EXPECT_EQ(*store.get(key_for_index(7)), value_for_index(8));
 }
 
 TEST(KvStore, LoadFactorBoundEnforced) {
@@ -91,6 +121,71 @@ TEST(KeyValueHelpers, Shapes) {
   EXPECT_EQ(value.size(), kMaxValueBytes);
   EXPECT_EQ(value, value_for_index(1234));
   EXPECT_NE(value, value_for_index(1235));
+}
+
+TEST(KeyValueHelpers, KeyMatchesPrintfForm) {
+  for (const std::uint64_t i : {std::uint64_t{0}, std::uint64_t{9},
+                               std::uint64_t{10}, std::uint64_t{1234},
+                               std::uint64_t{999999}, kMaxKeyIndex}) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "k%015llu",
+                  static_cast<unsigned long long>(i));
+    EXPECT_EQ(key_for_index(i), std::string(buf)) << i;
+    EXPECT_EQ(IndexKey{i}.view(), std::string(buf)) << i;
+  }
+  EXPECT_EQ(kMaxKeyIndex, 999'999'999'999'999ULL);
+}
+
+TEST(KeyValueHelpers, IndexWithoutSixteenByteKeyRejected) {
+  // "k%015llu" of 10^15 has 17 bytes; truncating it to 16 would alias
+  // 10^14's key, so such indices have no key at all.
+  EXPECT_THROW((void)key_for_index(kMaxKeyIndex + 1), CheckFailure);
+  EXPECT_THROW(IndexKey{kMaxKeyIndex + 1}, CheckFailure);
+  EXPECT_THROW(IndexKey{~0ULL}, CheckFailure);
+}
+
+TEST(KvStore, PopulatedTableMatchesCommittedLayout) {
+  // Recorded from the per-object set(key_for_index(i), value_for_index(i))
+  // loop that predates the bulk loader. The bulk loader must rebuild the
+  // same table byte for byte: same slots, same order.
+  KvStore store{100000};
+  populate(store, 100000);
+  EXPECT_EQ(store.capacity(), 262144U);
+  EXPECT_EQ(store.size(), 100000U);
+  EXPECT_EQ(scan_fold(store), 0x011BEC6EE52F1884ULL);
+  EXPECT_EQ(store.scan_digest(key_for_index(0), 100000),
+            0x4E01BB795720B23FULL);
+
+  // A plain set() loop still builds the very same table.
+  KvStore reference{100000};
+  for (std::uint64_t i = 0; i < 100000; ++i) {
+    ASSERT_TRUE(reference.set(key_for_index(i), value_for_index(i)));
+  }
+  EXPECT_EQ(scan_fold(reference), scan_fold(store));
+  EXPECT_EQ(reference.scan_digest(key_for_index(0), 100000),
+            store.scan_digest(key_for_index(0), 100000));
+}
+
+TEST(KvStore, PopulateHandlesPartialBlocksAndOverwrites) {
+  // Counts that are not a multiple of the load block, on a store that
+  // already holds some of the objects with other values.
+  for (const std::size_t count : {1U, 15U, 17U, 100U}) {
+    KvStore store{256};
+    ASSERT_TRUE(store.set(key_for_index(0), "stale"));
+    ASSERT_TRUE(store.set("other", "x"));
+    populate(store, count);
+    EXPECT_EQ(store.size(), count + 1) << count;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      EXPECT_EQ(*store.get(key_for_index(i)), value_for_index(i)) << i;
+    }
+    EXPECT_FALSE(store.contains(key_for_index(count)));
+  }
+}
+
+TEST(KvStore, PopulateBeyondCapacityRejected) {
+  KvStore store{8};  // capacity 16: at most 8 objects
+  EXPECT_THROW(populate(store, 9), CheckFailure);
+  EXPECT_EQ(store.size(), 8U);
 }
 
 TEST(KvStore, PopulateMatchesPaperScale) {
