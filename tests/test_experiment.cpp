@@ -221,5 +221,29 @@ TEST(Experiment, ResourceAuditMatchesPaperScale) {
   EXPECT_NEAR(report.sram_fraction, 0.0477, 0.005);
 }
 
+TEST(Experiment, Fig7NetClonePointIsPinned) {
+  // The Fig. 7 NetClone point exactly as bench_packet_path's
+  // run_fig7_point builds it: 6 servers x 16 workers, Exp(25) under the
+  // high-variability jitter model, 80% load, default seed. Its results
+  // are the committed fig7 digest keys of BENCH_packet_path.json.
+  const host::JitterModel jitter{0.01, 15.0, 0.08};
+  ClusterConfig cfg;
+  cfg.scheme = Scheme::kNetClone;
+  cfg.server_workers.assign(6, 16);
+  cfg.factory = std::make_shared<host::ExponentialWorkload>(25.0);
+  cfg.service = std::make_shared<host::SyntheticService>(jitter);
+  cfg.warmup = SimTime::milliseconds(2);
+  cfg.measure = SimTime::milliseconds(20);
+  cfg.drain = SimTime::milliseconds(10);
+  cfg.offered_rps =
+      0.8 * cluster_capacity_rps(cfg.server_workers,
+                                 25.0 * jitter.mean_inflation());
+  Experiment experiment{cfg};
+  const ExperimentResult result = experiment.run();
+  EXPECT_EQ(result.completed, 54336U);
+  EXPECT_EQ(result.p99.ns(), 154624);
+  EXPECT_EQ(experiment.executed_events(), 722736U);
+}
+
 }  // namespace
 }  // namespace netclone::harness

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "chaos_util.hpp"
@@ -487,6 +488,96 @@ TEST(ExperimentFaults, ServerCrashVoidsInFlightWork) {
   EXPECT_GT(ss.abandoned_in_flight, 0U);
   const harness::InvariantReport report = harness::audit_invariants(exp);
   EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
+// ---------------------------------------------------------------------------
+// Single-rack determinism: committed digests of the chaos cluster, clean,
+// under randomized fault plans, and with impaired links
+
+/// Committed chaos digest and event count of one single-rack run.
+struct PinnedRun {
+  std::uint64_t digest;
+  std::uint64_t executed;
+};
+
+struct SingleRackRun {
+  harness::ExperimentResult result{};
+  std::uint64_t digest = 0;
+  std::uint64_t executed = 0;
+};
+
+SingleRackRun run_single_rack(const harness::ClusterConfig& cfg,
+                              const std::string& what) {
+  harness::Experiment exp{cfg};
+  SingleRackRun out;
+  out.result = exp.run();
+  const harness::InvariantReport report = harness::audit_invariants(exp);
+  EXPECT_TRUE(report.ok()) << what << ":\n" << report.to_string();
+  out.digest = harness::chaos_digest(exp);
+  out.executed = exp.executed_events();
+  return out;
+}
+
+/// The first run must hit the committed digest and event count, and a
+/// same-seed rerun in the same process must match it bit for bit.
+void expect_pinned(const harness::ClusterConfig& cfg, PinnedRun want,
+                   const std::string& what) {
+  const SingleRackRun first = run_single_rack(cfg, what);
+  EXPECT_GT(first.result.completed, 0U) << what << ": nothing completed";
+  EXPECT_EQ(first.digest, want.digest) << what << ": committed digest moved";
+  EXPECT_EQ(first.executed, want.executed)
+      << what << ": committed executed_events moved";
+  const SingleRackRun again = run_single_rack(cfg, what);
+  EXPECT_EQ(again.digest, first.digest) << what << ": rerun digest diverged";
+  EXPECT_EQ(again.executed, first.executed)
+      << what << ": rerun executed_events diverged";
+  EXPECT_EQ(again.result.completed, first.result.completed) << what;
+  EXPECT_EQ(again.result.p99, first.result.p99) << what;
+}
+
+TEST(SingleRackDigest, CleanChaosClusterIsPinned) {
+  // A fig7-style NetClone cluster with retransmission armed, so the
+  // shared payload tail path is on the wire too.
+  expect_pinned(netclone::testing::chaos_cluster(/*seed=*/77),
+                {16285795639020488588ULL, 5817}, "clean cluster");
+}
+
+TEST(SingleRackDigest, RandomFaultPlansArePinned) {
+  // Three combos of the chaos sweep's randomized fault plans (crashes,
+  // reboots, outages, impairments).
+  const PinnedRun want[3] = {{9372497587463027074ULL, 5826},
+                             {17747888158148853914ULL, 5983},
+                             {7533025895203755117ULL, 5834}};
+  for (std::uint64_t combo = 0; combo < 3; ++combo) {
+    harness::ClusterConfig cfg =
+        netclone::testing::chaos_cluster(/*seed=*/1000 + combo);
+    Rng plan_rng{0xC0FFEE ^ combo};
+    cfg.faults = netclone::testing::random_fault_plan(
+        plan_rng, cfg.server_workers.size(), cfg.num_clients);
+    expect_pinned(cfg, want[combo], "chaos combo " + std::to_string(combo));
+  }
+}
+
+TEST(SingleRackDigest, ImpairedLinksArePinned) {
+  // Link impairments rewrite a link's delivery FIFO: drops shrink it,
+  // duplicates share buffers, reorders swap frames between reserved
+  // slots.
+  harness::ClusterConfig cfg = netclone::testing::chaos_cluster(/*seed=*/9);
+  const auto impair = [](const char* link, FaultAction action, double rate) {
+    FaultEvent ev;
+    ev.at = SimTime::microseconds(600.0);
+    ev.target = link;
+    ev.action = action;
+    ev.value = rate;
+    return ev;
+  };
+  cfg.faults.events = {
+      impair("c0-sw0", FaultAction::kDropRate, 0.02),
+      impair("sw0-s1", FaultAction::kReorderRate, 0.05),
+      impair("s2-sw0", FaultAction::kDuplicateRate, 0.03),
+      impair("sw0-c1", FaultAction::kCorruptRate, 0.02),
+  };
+  expect_pinned(cfg, {12659393880771537727ULL, 5309}, "impaired links");
 }
 
 // ---------------------------------------------------------------------------
