@@ -1,8 +1,8 @@
 // Cache-prefetch hint for batched probes.
 //
-// Burst processing probes several tables per packet across a run of
-// packets; issuing the home-slot prefetches for the whole run before the
-// first probe overlaps the memory latency instead of paying it serially.
+// The KV bulk loader hashes a block of keys and issues every home-slot
+// prefetch before the first insert, overlapping the memory latency
+// instead of paying it serially.
 // Purely advisory: a no-op compiles away on toolchains without the
 // builtin, and correctness never depends on it.
 #pragma once

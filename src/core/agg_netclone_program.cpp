@@ -95,35 +95,6 @@ void AggNetCloneProgram::on_ingress(wire::Packet& pkt,
   }
 }
 
-void AggNetCloneProgram::warm_burst(std::span<wire::Packet> pkts) {
-  for (wire::Packet& pkt : pkts) {
-    if (!pkt.has_netclone()) {
-      fwd_table_.prefetch(route_key(pkt.ip.dst));
-      continue;
-    }
-    const wire::NetCloneHeader& nc = pkt.nc();
-    if (nc.is_chain_sync()) {
-      continue;  // control-plane marker — no match-table work to warm
-    }
-    if ((nc.switch_id != 0 && nc.switch_id != config_.switch_id) ||
-        nc.is_cancel()) {
-      fwd_table_.prefetch(route_key(pkt.ip.dst));
-      continue;
-    }
-    if (nc.is_request()) {
-      grp_table_.prefetch(nc.grp);
-    } else {
-      state_table_.prefetch(nc.sid);
-      shadow_table_.prefetch(nc.sid);
-      const std::uint32_t slot =
-          NetCloneProgram::filter_hash(nc.req_id, config_.filter_slots);
-      for (const auto& table : filter_tables_) {
-        table->prefetch(slot);
-      }
-    }
-  }
-}
-
 void AggNetCloneProgram::handle_request(wire::Packet& pkt,
                                         pisa::PacketMetadata& md,
                                         pisa::PipelinePass& pass) {

@@ -189,7 +189,6 @@ class AggNetCloneProgram final : public pisa::SwitchProgram {
 
   void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
-  void warm_burst(std::span<wire::Packet> pkts) override;
 
   [[nodiscard]] const char* name() const override { return "AggNetClone"; }
   [[nodiscard]] const AggNetCloneStats& stats() const { return stats_; }

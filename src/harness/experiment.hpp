@@ -147,9 +147,10 @@ class Experiment {
   /// Scheduling surface of the engine, for tests/benches that inject
   /// events (failures, reconfigurations) into a run.
   [[nodiscard]] sim::Scheduler& scheduler();
-  /// Engine telemetry: events executed so far (determinism fingerprint)
-  /// and the share of those folded into neighbours by burst coalescing.
+  /// Engine telemetry: events executed so far (determinism fingerprint).
   [[nodiscard]] std::uint64_t executed_events() const;
+  /// Always 0: every event runs through the engine. Kept because the
+  /// repository benchmark still reads it for its sim.absorbed_share row.
   [[nodiscard]] std::uint64_t absorbed_events() const;
   /// Frame-pool balance sheet of the process-wide pool, as a one-entry
   /// list. The invariant auditor checks live == acquired − released.

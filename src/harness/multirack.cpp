@@ -54,9 +54,7 @@ std::uint64_t MultiRackExperiment::executed_events() const {
   return sim_->executed_events();
 }
 
-std::uint64_t MultiRackExperiment::absorbed_events() const {
-  return sim_->absorbed_events();
-}
+std::uint64_t MultiRackExperiment::absorbed_events() const { return 0; }
 
 std::vector<wire::FramePool::Stats> MultiRackExperiment::frame_pool_stats()
     const {

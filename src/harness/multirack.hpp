@@ -151,6 +151,7 @@ class MultiRackExperiment {
 
   [[nodiscard]] sim::Scheduler& scheduler();
   [[nodiscard]] std::uint64_t executed_events() const;
+  /// Always 0 (see Experiment); the repository benchmark still reads it.
   [[nodiscard]] std::uint64_t absorbed_events() const;
   [[nodiscard]] std::vector<wire::FramePool::Stats> frame_pool_stats() const;
 

@@ -24,9 +24,6 @@ std::vector<SweepPoint> run_sweep(const ClusterConfig& base,
     cfg.seed = base.seed + 1000 * ++salt;
     Experiment experiment{cfg};
     points.push_back(SweepPoint{fraction, experiment.run()});
-    char label[32];
-    std::snprintf(label, sizeof(label), "load %.2f", fraction);
-    print_link_coalescing(label, experiment.links());
   }
   return points;
 }
@@ -50,37 +47,6 @@ void print_series(const std::string& title,
         scheme_name(r.scheme), p.load_fraction, r.achieved_rps / 1e3,
         r.p50.us(), r.p99.us(), r.p999.us(), r.mean_us, cloned_pct,
         static_cast<unsigned long long>(r.filtered_responses));
-  }
-}
-
-void print_link_coalescing(
-    const std::string& label,
-    const std::vector<std::pair<std::string, phys::Link*>>& links) {
-  std::uint64_t total_tx = 0;
-  std::uint64_t total_coalesced = 0;
-  for (const auto& [name, link] : links) {
-    total_tx += link->stats().tx_frames;
-    total_coalesced += link->stats().coalesced_frames;
-  }
-  if (total_coalesced == 0) {
-    return;  // oracle mode (or nothing absorbed): stay silent
-  }
-  std::printf("  coalescing [%s]: %llu of %llu frames (%.1f%%)\n",
-              label.c_str(),
-              static_cast<unsigned long long>(total_coalesced),
-              static_cast<unsigned long long>(total_tx),
-              100.0 * static_cast<double>(total_coalesced) /
-                  static_cast<double>(total_tx));
-  for (const auto& [name, link] : links) {
-    const phys::LinkStats& s = link->stats();
-    if (s.coalesced_frames == 0) {
-      continue;
-    }
-    std::printf("    %-12s %9llu of %9llu (%.1f%%)\n", name.c_str(),
-                static_cast<unsigned long long>(s.coalesced_frames),
-                static_cast<unsigned long long>(s.tx_frames),
-                100.0 * static_cast<double>(s.coalesced_frames) /
-                    static_cast<double>(s.tx_frames));
   }
 }
 

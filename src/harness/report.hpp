@@ -28,15 +28,6 @@ struct SweepPoint {
 void print_series(const std::string& title,
                   const std::vector<SweepPoint>& points);
 
-/// Per-link burst-coalescing telemetry: the fabric-wide absorption rate
-/// plus one row per link that delivered frames by riding an earlier
-/// frame's delivery event (NETCLONE_BURST). Prints nothing when no link
-/// coalesced, so oracle-mode output stays byte-identical. Works for any
-/// harness exposing named links (Experiment and MultiRackExperiment).
-void print_link_coalescing(
-    const std::string& label,
-    const std::vector<std::pair<std::string, phys::Link*>>& links);
-
 /// Accumulates named pass/fail conditions ("C-Clone saturates at about
 /// half of baseline throughput") and prints a SHAPE-CHECK verdict block;
 /// returns true when everything held.

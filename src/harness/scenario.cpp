@@ -427,9 +427,6 @@ std::vector<SweepPoint> Scenario::run() const {
       cfg.seed = base.seed + 1000 * ++salt;
       MultiRackExperiment experiment{cfg};
       points.push_back(SweepPoint{fraction, experiment.run()});
-      char label[32];
-      std::snprintf(label, sizeof(label), "load %.2f", fraction);
-      print_link_coalescing(label, experiment.links());
     }
   }
   print_series(title + " — " + std::string{scheme_name(scheme)} + " — " +

@@ -14,12 +14,6 @@
 // delivers the head frame and rearms for the next under the sequence
 // number reserved at its transmit, so same-timestamp ordering across
 // links is bit-for-bit what eager per-frame scheduling would produce.
-// With burst mode on (see phys/burst.hpp), a firing additionally drains
-// every successive FIFO entry — within the receiver's burst horizon —
-// whose reserved delivery event the scheduler confirms would fire next
-// anyway; the scheduler absorbs those events (advancing the clock
-// through each) and the run reaches the receiver as one FrameBurst with
-// per-frame arrival stamps. Same order, same seq stream, fewer events.
 // Taking the link down simply clears the FIFO, which is also what makes
 // a down/up cycle safe: no stale per-frame events survive to corrupt the
 // revived link's drop-tail occupancy.
@@ -72,11 +66,6 @@ struct LinkStats {
   std::uint64_t corrupted_frames = 0;
   std::uint64_t duplicated_frames = 0;
   std::uint64_t reordered_frames = 0;
-  /// Burst mode only: frames delivered by riding an earlier frame's
-  /// delivery event (their own event absorbed). Telemetry for the
-  /// tracing layer's per-link coalescing rate — deliberately excluded
-  /// from the chaos digest, since burst on/off must stay bit-identical.
-  std::uint64_t coalesced_frames = 0;
 };
 
 class Link {

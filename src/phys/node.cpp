@@ -29,14 +29,4 @@ void Node::send_burst(std::size_t port,
   }
 }
 
-void Node::send_burst(std::size_t port, FrameBurst& burst) {
-  if (port >= egress_.size() || egress_[port] == nullptr) {
-    return;  // unplugged port: the whole burst is lost
-  }
-  Link* link = egress_[port];
-  for (std::size_t i = 0; i < burst.size(); ++i) {
-    link->transmit(std::move(burst[i].frame));
-  }
-}
-
 }  // namespace netclone::phys

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "phys/burst.hpp"
 #include "wire/framebuf.hpp"
 
 namespace netclone::phys {
@@ -29,31 +28,6 @@ class Node {
   /// passing owned vectors still work.)
   virtual void handle_frame(std::size_t port, wire::FrameHandle frame) = 0;
 
-  /// Called by a link when several frames arrive together (back-to-back
-  /// delivery instants with provably nothing ordered between them — see
-  /// Link::deliver_head; each frame carries its arrival time). The
-  /// default unrolls to per-frame handle_frame calls, which is exact
-  /// because a zero burst_horizon() receiver only ever sees same-instant
-  /// bursts. Receivers that batch (the PISA switch) override this,
-  /// process frames in order as if each arrived at its recorded instant,
-  /// and amortize parse and table-probe work across the run — with
-  /// identical externally visible behavior.
-  virtual void handle_burst(std::size_t port, FrameBurst&& burst) {
-    for (std::size_t i = 0; i < burst.size(); ++i) {
-      handle_frame(port, std::move(burst[i].frame));
-    }
-  }
-
-  /// How far past a burst's first frame the delivering link may coalesce
-  /// follow-on frames: the receiver's promise that processing a frame
-  /// arriving at time t schedules nothing before t + horizon. Zero (the
-  /// default, and always safe) restricts bursts to a single delivery
-  /// instant; the switch returns its pipeline latency — every consequence
-  /// of a pipeline pass is at least that far out.
-  [[nodiscard]] virtual SimTime burst_horizon() const {
-    return SimTime::zero();
-  }
-
   /// Registers an egress link and returns the new port index. Called by
   /// Topology while wiring; a node's ingress port i receives from the peer
   /// wired at the same index.
@@ -72,12 +46,6 @@ class Node {
   /// one delivery event for all of them. The handles are moved out of
   /// `frames`. Fragmented responses use this.
   void send_burst(std::size_t port, std::span<wire::FrameHandle> frames);
-
-  /// send_burst() over a FrameBurst: a burst-capable node forwarding a
-  /// received run out of one port in a single instant (arrival stamps are
-  /// dropped — transmit re-times each frame against the egress link's
-  /// busy-until). The handles are moved out of `burst`.
-  void send_burst(std::size_t port, FrameBurst& burst);
 
  private:
   std::string name_;

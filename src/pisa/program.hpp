@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "pisa/pipeline.hpp"
 #include "wire/frame.hpp"
@@ -30,14 +29,6 @@ class SwitchProgram {
   /// resources through `pass`, and steers via `md`.
   virtual void on_ingress(wire::Packet& pkt, PacketMetadata& md,
                           PipelinePass& pass) = 0;
-
-  /// Burst warm-up hook: called once per received burst, with every
-  /// parsed packet, before their per-packet on_ingress passes run.
-  /// Programs issue match-table and register prefetches across the whole
-  /// run here so the per-packet probes hit warm cache lines. No pass is
-  /// provided — the hook must not perform data-plane accesses or mutate
-  /// any state, only hint the cache. Default: no-op.
-  virtual void warm_burst(std::span<wire::Packet> pkts) { (void)pkts; }
 
   /// Human-readable program name for reports.
   [[nodiscard]] virtual const char* name() const = 0;

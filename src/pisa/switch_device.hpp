@@ -3,12 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "phys/burst.hpp"
 #include "phys/node.hpp"
 #include "pisa/pipeline.hpp"
 #include "pisa/program.hpp"
@@ -50,7 +48,6 @@ class SwitchDevice : public phys::Node {
  public:
   SwitchDevice(sim::Scheduler& scheduler, std::string name,
                SwitchParams params = {});
-  ~SwitchDevice() override;
 
   /// Installs the ingress program. The program's resources must have been
   /// built against pipeline().
@@ -88,49 +85,8 @@ class SwitchDevice : public phys::Node {
 
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
-  /// Burst ingress (burst mode only — links fall back to handle_frame for
-  /// single-frame runs): batch-parses the run, lets the program prefetch
-  /// every match-table home slot it is about to probe (warm_burst), then
-  /// runs each frame's pipeline pass in order at its recorded arrival
-  /// instant. Externally indistinguishable from per-frame delivery.
-  void handle_burst(std::size_t port, phys::FrameBurst&& burst) override;
-
-  /// Everything a pipeline pass schedules is at least one traversal out,
-  /// so links may coalesce deliveries across that window (see Node).
-  [[nodiscard]] SimTime burst_horizon() const override {
-    return params_.pipeline_latency;
-  }
-
  private:
-  /// A deparser+egress job waiting out its pipeline traversal. Burst mode
-  /// keeps these in a FIFO (fire times are monotone: every record fires
-  /// exactly one pipeline latency after its arrival) with one armed
-  /// scheduler event for the head, mirroring the link's batched FIFO; the
-  /// seq is reserved when the pass decides, so tie-breaks are identical
-  /// to the oracle's eagerly scheduled per-packet events.
-  struct PendingEgress {
-    SimTime fire_at{};
-    std::uint64_t seq = 0;
-    wire::Packet pkt{};
-    std::size_t unicast_port = 0;
-    /// Resolved multicast port set; empty means unicast via unicast_port.
-    std::vector<std::size_t> mcast_ports;
-  };
-
   void process(std::size_t port, wire::FrameHandle frame, bool recirculated);
-  /// The pipeline pass proper, shared by both rx paths. `arrival` is the
-  /// frame's ingress instant (== now() except inside a burst, where
-  /// earlier frames of the run carry their original stamps).
-  void process_parsed(wire::Packet pkt, std::size_t port, bool recirculated,
-                      SimTime arrival);
-  void push_egress(PendingEgress record);
-  void arm_egress();
-  /// Fires the head record, then keeps absorbing successor records whose
-  /// reserved events the scheduler proves would fire next anyway — the
-  /// clock advances through each, so every deparse/emit happens at
-  /// exactly the instant its own event would have run.
-  void drain_egress();
-  void fire_egress(PendingEgress& record);
   /// Hands one shared frame handle to an output port. Every port of a
   /// multicast set receives a refcount bump of the same serialized bytes —
   /// the deparser runs once per pipeline pass, not once per copy.
@@ -149,14 +105,6 @@ class SwitchDevice : public phys::Node {
   FlatMap64<std::vector<std::size_t>> mcast_groups_;
   std::size_t internal_ports_ = 0;
   bool failed_ = false;
-  /// Burst-mode egress FIFO + its single armed event (empty/unused when
-  /// burst mode is off — the oracle path schedules one event per packet).
-  std::deque<PendingEgress> egress_fifo_;
-  sim::EventId egress_event_{};
-  /// Scratch for handle_burst (parsed packets + arrival stamps), kept as
-  /// members so per-burst work does not reallocate.
-  std::vector<wire::Packet> burst_pkts_;
-  std::vector<SimTime> burst_whens_;
   SwitchStats stats_;
 };
 

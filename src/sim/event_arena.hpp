@@ -150,86 +150,6 @@ class EventArena {
     return true;
   }
 
-  /// True when no pending event is ordered before (when, seq) — i.e. the
-  /// event a caller holds a reservation for at (when, seq) would fire
-  /// next. The burst-delivery coalescing probe: absorbing such an
-  /// event into the current callback cannot reorder anything.
-  ///
-  /// Deliberately read-only with respect to ordering: the scan never
-  /// advances the wheel origin, so a probe from inside a running callback
-  /// cannot strand the callback's later insertions behind it. (It does
-  /// tidy: tombstones are skipped past and tombstone-only buckets
-  /// cleared, neither of which changes what pops next.)
-  [[nodiscard]] bool none_before(SimTime when, std::uint64_t seq) {
-    if (!draining_) {
-      // Between drains (or before the first): adopt the current tick's
-      // bucket as the drain so mid-callback insertions at `now` are seen.
-      drain_.clear();
-      drain_pos_ = 0;
-      draining_ = true;
-    }
-    merge_current_tick();
-    while (drain_pos_ < drain_.size() &&
-           !is_live(drain_[drain_pos_])) {
-      ++drain_pos_;  // tombstone: slot already released by cancel
-    }
-    if (drain_pos_ < drain_.size()) {
-      // The drain holds the current tick — the global minimum.
-      return ordered_after(drain_[drain_pos_], when, seq);
-    }
-    // Scan the wheel for the earliest live entry. Levels are disjoint and
-    // ordered (every level-l entry precedes every level-(l+1) entry: the
-    // former shares the level-(l+1) group with the origin, the latter is
-    // past it), as are a level's buckets by slot, so the first live entry
-    // found in scan order is the wheel's minimum.
-    const std::uint64_t bound = tick_of(when);
-    for (std::size_t level = 0; level < kWheelLevels; ++level) {
-      std::size_t slot = group_of(cur_tick_, level);
-      while (slot < kWheelSlotCount &&
-             (slot = next_occupied(level, slot)) < kWheelSlotCount) {
-        // Lower bound on every tick filed in this bucket — and on
-        // everything in later buckets, later levels, and the overflow
-        // heap (whose windows are later still).
-        const std::uint64_t shift = kGroupBits * level;
-        const std::uint64_t lb =
-            (cur_tick_ & ~(((std::uint64_t{1} << kGroupBits) << shift) - 1)) |
-            (static_cast<std::uint64_t>(slot) << shift);
-        if (lb > bound) {
-          return true;
-        }
-        if (lb < bound) {
-          // Something is (or recently was) filed strictly before the
-          // probe tick. A tombstone-only bucket makes this conservative —
-          // a skipped absorption, never a reordering — and keeps the
-          // failed-probe path to a bitmap lookup, which matters because
-          // in steady state most probes fail.
-          return false;
-        }
-        const HeapEntry* min_entry = nullptr;
-        for (const HeapEntry& entry : wheel_[level][slot]) {
-          if (is_live(entry) &&
-              (min_entry == nullptr || entry.when < min_entry->when ||
-               (entry.when == min_entry->when &&
-                entry.key < min_entry->key))) {
-            min_entry = &entry;
-          }
-        }
-        if (min_entry != nullptr) {
-          return ordered_after(*min_entry, when, seq);
-        }
-        // Tombstone-only bucket: reclaim it so repeated probes stay cheap.
-        wheel_[level][slot].clear();
-        clear_bit(level, slot);
-        ++slot;
-      }
-    }
-    prune_heap_top();
-    if (heap_.empty()) {
-      return true;
-    }
-    return ordered_after(heap_.front(), when, seq);
-  }
-
   /// Exact number of pending events (cancelled events do not count).
   [[nodiscard]] std::size_t size() const { return live_; }
   [[nodiscard]] bool empty() const { return live_ == 0; }
@@ -304,15 +224,6 @@ class EventArena {
   [[nodiscard]] bool is_live(const HeapEntry& entry) const {
     const Slot& slot = slots_[slot_of(entry.key)];
     return slot.live && slot.key == entry.key;
-  }
-
-  /// True when `entry` is ordered strictly after (when, seq).
-  [[nodiscard]] static bool ordered_after(const HeapEntry& entry,
-                                          SimTime when, std::uint64_t seq) {
-    if (entry.when != when) {
-      return entry.when > when;
-    }
-    return (entry.key >> kSlotBits) > seq;
   }
 
   // -- occupancy bitmaps ---------------------------------------------------

@@ -184,25 +184,6 @@ class Scheduler {
   virtual EventId schedule_at_seq(SimTime when, std::uint64_t seq,
                                   EventCallback action) = 0;
 
-  /// Burst-coalescing probe-and-commit. The caller holds a reservation
-  /// for an event at (when, seq) that it has not materialized (a link
-  /// delivery FIFO entry). If no pending event is ordered before
-  /// (when, seq) — i.e. that event would fire next — the clock advances
-  /// to `when`, the event counts as executed, and the caller runs its
-  /// work inline in the current callback: indistinguishable from the
-  /// event loop having fired it. Otherwise returns false and nothing
-  /// changes. `when` must not be in the past; implementations may answer
-  /// a conservative false.
-  [[nodiscard]] virtual bool try_absorb_event(SimTime when,
-                                              std::uint64_t seq) = 0;
-
-  /// Records `n` events' worth of work absorbed into the current callback
-  /// without a per-event probe (consecutive same-timestamp reservations
-  /// the caller drew itself — nothing can be ordered between them). Keeps
-  /// executed-event telemetry, and digests folded over it, identical
-  /// between burst and single-event execution.
-  virtual void note_absorbed_events(std::uint64_t n) = 0;
-
   /// Schedules `action` after `delay` (must be non-negative).
   EventId schedule_after(SimTime delay, EventCallback action) {
     NETCLONE_CHECK(delay >= SimTime::zero(), "negative delay");

@@ -54,25 +54,6 @@ class Simulator final : public Scheduler {
   /// an already-fired or already-cancelled event is a harmless no-op.
   void cancel(EventId id) override { events_.cancel(id); }
 
-  /// Burst-coalescing probe-and-commit (see Scheduler): when the event
-  /// reserved at (when, seq) is provably next, the clock advances to it
-  /// and the caller's inline execution is indistinguishable from the
-  /// event loop having fired it.
-  [[nodiscard]] bool try_absorb_event(SimTime when,
-                                      std::uint64_t seq) override {
-    NETCLONE_CHECK(when >= now_, "cannot absorb an event in the past");
-    if (!events_.none_before(when, seq)) {
-      return false;
-    }
-    now_ = when;
-    ++absorbed_;
-    return true;
-  }
-
-  /// Counts coalesced work toward executed_events() so burst and
-  /// single-event runs report identical totals (see Scheduler).
-  void note_absorbed_events(std::uint64_t n) override { absorbed_ += n; }
-
   /// Runs events until the queue empties or `stop()` is called.
   void run();
 
@@ -99,22 +80,13 @@ class Simulator final : public Scheduler {
   /// Exact count of pending (scheduled, not yet fired or cancelled) events.
   [[nodiscard]] std::size_t pending_events() const { return events_.size(); }
 
-  /// Total events executed since construction (telemetry). Includes work
-  /// absorbed into a containing callback by burst coalescing, so the
-  /// count is invariant under the NETCLONE_BURST toggle.
-  [[nodiscard]] std::uint64_t executed_events() const {
-    return executed_ + absorbed_;
-  }
-
-  /// The subset of executed_events() that never went through the wheel:
-  /// deliveries folded into a neighbouring callback by burst coalescing.
-  [[nodiscard]] std::uint64_t absorbed_events() const { return absorbed_; }
+  /// Total events executed since construction (telemetry).
+  [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
   EventArena events_;
   SimTime now_ = SimTime::zero();
   std::uint64_t executed_ = 0;
-  std::uint64_t absorbed_ = 0;
   bool stopped_ = false;
 };
 

@@ -1,7 +1,8 @@
 // Fault-injection subsystem: plan parsing, scenario wiring, checksum
 // verification on the receive path, retransmit backoff, fault application
-// through Experiment, and a quick chaos sweep (the >=100-combo sweep
-// lives in test_chaos_sweep.cpp, slow lane).
+// through Experiment, committed single-rack chaos digests, and a quick
+// chaos sweep (the >=100-combo sweep lives in test_chaos_sweep.cpp, slow
+// lane).
 #include "harness/faults.hpp"
 
 #include <gtest/gtest.h>

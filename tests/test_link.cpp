@@ -122,6 +122,10 @@ TEST(Link, BusyLinkHoldsOneDeliveryEvent) {
   sim.run();
   EXPECT_EQ(dst.received.size(), 5U);
   EXPECT_EQ(link.in_flight(), 0U);
+  // Each firing delivers only the head and rearms for the next frame, so
+  // every frame still costs exactly one executed event.
+  EXPECT_EQ(sim.now(), 5_us);
+  EXPECT_EQ(sim.executed_events(), 5U);
 }
 
 TEST(Link, DownClearsInFlightAndCancelsDelivery) {
