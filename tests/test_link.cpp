@@ -122,10 +122,27 @@ TEST(Link, BusyLinkHoldsOneDeliveryEvent) {
   sim.run();
   EXPECT_EQ(dst.received.size(), 5U);
   EXPECT_EQ(link.in_flight(), 0U);
-  // Each firing delivers only the head and rearms for the next frame, so
-  // every frame still costs exactly one executed event.
-  EXPECT_EQ(sim.now(), 5_us);
-  EXPECT_EQ(sim.executed_events(), 5U);
+}
+
+// Per-frame delivery (once the oracle for the deleted burst mode, now the
+// only link path): each firing hands the receiver just the head frame and
+// rearms for the next, so every frame costs exactly one executed event.
+TEST(LinkBurst, OracleModeDeliversPerFrame) {
+  sim::Simulator sim;
+  CaptureNode dst;
+  LinkParams params;
+  params.rate_bps = 1e9;
+  params.delay = SimTime::zero();
+  Link link{sim, params};
+  link.connect_to(&dst, 0);
+
+  for (int i = 0; i < 3; ++i) {
+    link.transmit(frame_of_size(125));
+  }
+  sim.run();
+  EXPECT_EQ(dst.received.size(), 3U);
+  EXPECT_EQ(sim.now(), 3_us);
+  EXPECT_EQ(sim.executed_events(), 3U);
 }
 
 TEST(Link, DownClearsInFlightAndCancelsDelivery) {
