@@ -249,7 +249,33 @@ phys::Link* Experiment::link(const std::string& name) const {
   return nullptr;
 }
 
+namespace {
+
+/// Fat-tree actions address aggregation replicas and server racks, which
+/// a single-rack cluster does not have.
+bool fat_tree_only(FaultAction action) {
+  return action == FaultAction::kAggFail ||
+         action == FaultAction::kAggRejoin ||
+         action == FaultAction::kRackDown || action == FaultAction::kRackUp;
+}
+
+void reject_fat_tree_only(const FaultEvent& event) {
+  NETCLONE_CHECK(!fat_tree_only(event.action),
+                 std::string(fault_action_name(event.action)) +
+                     " needs a fat-tree pod (MultiRackExperiment); a "
+                     "single-rack cluster has no aggregation replicas or "
+                     "server racks (target " +
+                     event.target + ")");
+}
+
+}  // namespace
+
 void Experiment::install_fault_plan(const FaultPlan& plan) {
+  // Reject the whole plan up front rather than fail (or, worse, do
+  // nothing) when the entry's instant comes.
+  for (const FaultEvent& event : plan.events) {
+    reject_fat_tree_only(event);
+  }
   for (const FaultEvent& event : plan.events) {
     scheduler().schedule_at(event.at, [this, event] { apply_fault(event); });
   }
@@ -327,6 +353,12 @@ void Experiment::apply_fault(const FaultEvent& event) {
                      "filter_stale requires a NetClone scheme");
       netclone_program_->inject_stale_filter_entry(
           event.table, static_cast<std::uint32_t>(event.value));
+      break;
+    case FaultAction::kAggFail:
+    case FaultAction::kAggRejoin:
+    case FaultAction::kRackDown:
+    case FaultAction::kRackUp:
+      reject_fat_tree_only(event);
       break;
   }
 }

@@ -127,7 +127,10 @@ class Experiment {
 
   /// Schedules every entry of `plan` through the Scheduler. The plan
   /// from ClusterConfig is installed automatically at build time; this
-  /// lets tests/benches add more afterwards.
+  /// lets tests/benches add more afterwards. A plan holding a fat-tree
+  /// action (agg_fail, agg_rejoin, rack_down, rack_up) fails the
+  /// NETCLONE_CHECK, naming the action, before anything is scheduled —
+  /// those need MultiRackExperiment.
   void install_fault_plan(const FaultPlan& plan);
 
   /// Applies one fault right now. Throws via NETCLONE_CHECK on unknown

@@ -155,14 +155,30 @@ void Client::schedule_next_arrival() {
   arrival_timer_.arm_at(next);
 }
 
+Client::Pending& Client::add_pending() {
+  const std::size_t index = issued() - 1;  // next_seq_ already advanced
+  if (index / kPendingChunk == pending_chunks_.size()) {
+    pending_chunks_.push_back(std::make_unique<Pending[]>(kPendingChunk));
+  }
+  return pending_chunks_[index / kPendingChunk][index % kPendingChunk];
+}
+
+Client::Pending* Client::find_pending(std::uint32_t client_seq) {
+  if (client_seq == 0 || client_seq > issued()) {
+    return nullptr;
+  }
+  const std::size_t index = client_seq - 1U;
+  return &pending_chunks_[index / kPendingChunk][index % kPendingChunk];
+}
+
 void Client::issue_request() {
   if (sim_.now() >= params_.stop_at) {
     return;
   }
   const std::uint32_t seq = next_seq_++;
-  Pending pending;
+  Pending& pending = add_pending();
   pending.sent_at = sim_.now();
-  pending.request = factory_->make(rng_);
+  const wire::RpcRequest request = factory_->make(rng_);
   pending.grp =
       group_cdf_.empty()
           ? static_cast<std::uint16_t>(rng_.next_below(
@@ -182,8 +198,15 @@ void Client::issue_request() {
   }
   ++stats_.requests_sent;
 
-  send_all_packets(pending, seq);
-  outstanding_.emplace(seq, pending);
+  // Only TCP mode keeps resend state, so the table never retains frame
+  // buffers a timer will never resend.
+  Retransmit* retx = nullptr;
+  if (params_.retransmit_timeout > SimTime::zero()) {
+    bool inserted = false;
+    retx = &retransmits_.get_or_insert(seq, inserted);
+    retx->request = request;
+  }
+  send_all_packets(pending, request, seq, retx);
   arm_retransmit_timer(seq);
 }
 
@@ -195,26 +218,25 @@ void Client::on_arrival() {
   schedule_next_arrival();
 }
 
-void Client::send_all_packets(Pending& pending, std::uint32_t client_seq) {
-  if (!pending.tx_frames.empty()) {
+void Client::send_all_packets(const Pending& pending,
+                              const wire::RpcRequest& req,
+                              std::uint32_t client_seq, Retransmit* retx) {
+  if (retx != nullptr && !retx->tx_frames.empty()) {
     // Retransmission: resend the cached buffers byte-for-byte; the switch
     // derives the same REQ_ID from the unchanged client tuple.
-    for (const wire::FrameHandle& f : pending.tx_frames) {
+    for (const wire::FrameHandle& f : retx->tx_frames) {
       emit_frame(f);
     }
     return;
   }
-  const wire::RpcRequest& req = pending.request;
-  // Only cache when a retransmit timer can ever fire, so the per-request
-  // Pending map doesn't retain frame buffers it will never resend. The
-  // same gate covers the shared payload tail: serialized once here, then
-  // every fragment, C-Clone copy, and retransmission shares its bytes by
-  // refcount.
-  const bool cache = params_.retransmit_timeout > SimTime::zero();
-  if (cache && !pending.payload_tail.frame) {
-    pending.payload_tail = wire::SharedPayload::of(req.to_frame());
+  // With resend state the body is serialized once into the shared tail;
+  // then every fragment, C-Clone copy, and retransmission shares its
+  // bytes by refcount.
+  if (retx != nullptr && !retx->payload_tail.frame) {
+    retx->payload_tail = wire::SharedPayload::of(req.to_frame());
   }
-  const wire::SharedPayload* tail = cache ? &pending.payload_tail : nullptr;
+  const wire::SharedPayload* tail =
+      retx != nullptr ? &retx->payload_tail : nullptr;
   switch (params_.mode) {
     case SendMode::kViaSwitch:
     case SendMode::kToCoordinator:
@@ -222,8 +244,8 @@ void Client::send_all_packets(Pending& pending, std::uint32_t client_seq) {
         wire::FrameHandle sent = emit_request(req, params_.target,
                                               pending.grp, pending.idx,
                                               client_seq, f, tail);
-        if (cache) {
-          pending.tx_frames.push_back(std::move(sent));
+        if (retx != nullptr) {
+          retx->tx_frames.push_back(std::move(sent));
         }
       }
       break;
@@ -245,8 +267,8 @@ void Client::send_all_packets(Pending& pending, std::uint32_t client_seq) {
         wire::FrameHandle sent = emit_request(req, dst, pending.grp,
                                               pending.idx, client_seq, 0,
                                               tail);
-        if (cache) {
-          pending.tx_frames.push_back(std::move(sent));
+        if (retx != nullptr) {
+          retx->tx_frames.push_back(std::move(sent));
         }
       }
       break;
@@ -272,32 +294,33 @@ SimTime Client::retransmit_delay(std::uint32_t retries) {
 }
 
 void Client::arm_retransmit_timer(std::uint32_t client_seq) {
-  if (params_.retransmit_timeout <= SimTime::zero()) {
-    return;
+  Retransmit* retx = retransmits_.find(client_seq);
+  if (retx == nullptr) {
+    return;  // UDP mode, or the request is already done with
   }
-  auto armed = outstanding_.find(client_seq);
-  if (armed == outstanding_.end()) {
-    return;
+  retx->retransmit_event = sim_.schedule_after(
+      retransmit_delay(retx->retries),
+      [this, client_seq] { on_retransmit_timeout(client_seq); });
+}
+
+void Client::on_retransmit_timeout(std::uint32_t client_seq) {
+  Retransmit* retx = retransmits_.find(client_seq);
+  if (retx == nullptr) {
+    return;  // completed meanwhile
   }
-  armed->second.retransmit_event = sim_.schedule_after(
-      retransmit_delay(armed->second.retries), [this, client_seq] {
-        auto it = outstanding_.find(client_seq);
-        if (it == outstanding_.end() || it->second.completed) {
-          return;
-        }
-        Pending& pending = it->second;
-        pending.retransmit_event = sim::EventId{};
-        if (pending.retries >= params_.max_retransmits) {
-          return;  // give up; the request stays incomplete
-        }
-        ++pending.retries;
-        ++stats_.retransmissions;
-        if (stats_.retransmit_times.size() < 64) {
-          stats_.retransmit_times.push_back(sim_.now());
-        }
-        send_all_packets(pending, client_seq);
-        arm_retransmit_timer(client_seq);
-      });
+  retx->retransmit_event = sim::EventId{};
+  if (retx->retries >= params_.max_retransmits) {
+    retransmits_.erase(client_seq);
+    return;  // give up; the request stays incomplete
+  }
+  ++retx->retries;
+  ++stats_.retransmissions;
+  if (stats_.retransmit_times.size() < 64) {
+    stats_.retransmit_times.push_back(sim_.now());
+  }
+  send_all_packets(*find_pending(client_seq), retx->request, client_seq,
+                   retx);
+  arm_retransmit_timer(client_seq);
 }
 
 wire::FrameHandle Client::emit_request(const wire::RpcRequest& req,
@@ -325,7 +348,7 @@ wire::FrameHandle Client::emit_request(const wire::RpcRequest& req,
   wire::Packet pkt = wire::make_netclone_packet(
       my_mac_, wire::MacAddress::broadcast(), my_ip_, dst,
       /*src_port=*/static_cast<std::uint16_t>(40000 + params_.client_id),
-      nc, tail != nullptr ? wire::Frame{} : req.to_frame());
+      nc, wire::Frame{});
 
   wire::FrameHandle bytes;
   if (tail != nullptr) {
@@ -334,6 +357,13 @@ wire::FrameHandle Client::emit_request(const wire::RpcRequest& req,
     pkt.payload = tail->ref();
     bytes = pkt.serialize_sg(*tail);
   } else {
+    // The body is encoded on the stack and the packet views it (nothing
+    // to pin: the buffer outlives `pkt`); the deparser copies it into the
+    // pooled frame, so no heap Frame is built per request.
+    std::array<std::byte, wire::RpcRequest::kSize> body;
+    wire::ByteWriter w{std::span<std::byte>{body}};
+    req.serialize(w);
+    pkt.payload = wire::PayloadRef{wire::FrameHandle{}, body};
     bytes = pkt.serialize_pooled();
   }
   emit_frame(bytes);
@@ -348,10 +378,11 @@ void Client::emit_frame(wire::FrameHandle bytes) {
   const SimTime start = std::max(sim_.now(), tx_busy_until_);
   tx_busy_until_ = start + params_.tx_cost;
   ++stats_.packets_sent;
-  sim_.schedule_at(tx_busy_until_,
-                   [this, bytes = std::move(bytes)]() mutable {
-                     send(0, std::move(bytes));
-                   });
+  auto transmit = [this, bytes = std::move(bytes)]() mutable {
+    send(0, std::move(bytes));
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(transmit)>);
+  sim_.schedule_at(tx_busy_until_, std::move(transmit));
 }
 
 void Client::send_cancel(const Pending& pending, std::uint32_t client_seq,
@@ -376,33 +407,46 @@ void Client::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
     ++stats_.checksum_drops;
     return;
   }
-  wire::Packet pkt;
-  try {
-    pkt = wire::Packet::parse_backed(frame);
-  } catch (const wire::CodecError&) {
-    return;
-  }
-  frame.reset();
-  if (!pkt.has_netclone() || !pkt.nc().is_response()) {
-    return;
+  ResponseInfo rsp;
+  {
+    wire::Packet pkt;
+    try {
+      pkt = wire::Packet::parse_backed(frame);
+    } catch (const wire::CodecError&) {
+      return;
+    }
+    if (!pkt.has_netclone() || !pkt.nc().is_response()) {
+      return;
+    }
+    // Keep only what response processing reads; the frame is released
+    // here, and the decomposition is decoded from the body in place
+    // (a foreign or truncated body leaves has_timing unset).
+    rsp.nc = pkt.nc();
+    rsp.responder = pkt.ip.src;
+    if (!pkt.payload.empty()) {
+      if (const auto timing = wire::RpcResponse::read_timing(pkt.payload)) {
+        rsp.has_timing = true;
+        rsp.timing = *timing;
+      }
+    }
   }
   // Receiver thread: every arriving response — wanted or redundant — costs
   // rx_cost of serial CPU before the application sees it.
   const SimTime done = std::max(sim_.now(), rx_busy_until_) + params_.rx_cost;
   rx_busy_until_ = done;
-  sim_.schedule_at(done, [this, pkt = std::move(pkt)]() mutable {
-    on_response_processed(std::move(pkt));
-  });
+  auto process = [this, rsp] { on_response_processed(rsp); };
+  static_assert(sim::EventCallback::fits_inline<decltype(process)>);
+  sim_.schedule_at(done, std::move(process));
 }
 
-void Client::on_response_processed(wire::Packet pkt) {
-  const wire::NetCloneHeader& nc = pkt.nc();
-  auto it = outstanding_.find(nc.client_seq);
-  if (it == outstanding_.end()) {
+void Client::on_response_processed(const ResponseInfo& rsp) {
+  const wire::NetCloneHeader& nc = rsp.nc;
+  Pending* found = find_pending(nc.client_seq);
+  if (found == nullptr) {
     ++stats_.unmatched_responses;
     return;
   }
-  Pending& pending = it->second;
+  Pending& pending = *found;
   if (pending.completed) {
     ++stats_.redundant_responses;
     return;
@@ -416,31 +460,26 @@ void Client::on_response_processed(wire::Packet pkt) {
     return;
   }
   pending.frag_mask |= bit;
-  if (!pkt.payload.empty()) {
+  if (rsp.has_timing) {
     // The payload-bearing fragment carries the server's decomposition.
-    try {
-      const wire::RpcResponse body =
-          wire::RpcResponse::from_frame(pkt.payload);
-      pending.server_wait_ns = body.queue_wait_ns;
-      pending.server_service_ns = body.service_ns;
-    } catch (const wire::CodecError&) {
-      // tolerate foreign payloads; decomposition stays zero
-    }
+    pending.server_wait_ns = rsp.timing.queue_wait_ns;
+    pending.server_service_ns = rsp.timing.service_ns;
   }
   if (std::popcount(pending.frag_mask) <
       static_cast<int>(nc.frag_count)) {
     return;  // waiting for the remaining fragments
   }
   pending.completed = true;
-  pending.tx_frames.clear();  // release the cached retransmit buffers
-  pending.payload_tail = wire::SharedPayload{};
-  // The retransmit timeout is dead weight now — O(1)-cancel it so the
-  // engine truly removes the event instead of firing a no-op later.
-  sim_.cancel(pending.retransmit_event);
-  pending.retransmit_event = sim::EventId{};
+  if (Retransmit* retx = retransmits_.find(nc.client_seq)) {
+    // The retransmit timeout is dead weight now — O(1)-cancel it so the
+    // engine truly removes the event instead of firing a no-op later —
+    // and release the cached retransmit buffers.
+    sim_.cancel(retx->retransmit_event);
+    retransmits_.erase(nc.client_seq);
+  }
   ++stats_.completed;
   if (params_.mode == SendMode::kCClone && params_.cclone_cancel) {
-    send_cancel(pending, nc.client_seq, pkt.ip.src);
+    send_cancel(pending, nc.client_seq, rsp.responder);
   }
   if (params_.loop == LoopMode::kClosedLoop) {
     issue_request();  // keep the window full
@@ -452,19 +491,17 @@ void Client::on_response_processed(wire::Packet pkt) {
         SimTime::nanoseconds(pending.server_wait_ns));
     stats_.server_service.record(
         SimTime::nanoseconds(pending.server_service_ns));
-    pending.measured = true;
   }
   if (now >= params_.warmup_until && now <= params_.stop_at) {
     ++stats_.completed_in_window;
   }
-  // Keep the entry so a late duplicate is classified as redundant; entries
-  // for never-duplicated requests are reclaimed wholesale with the client.
+  // Keep the entry so a late duplicate is classified as redundant.
 }
 
 Client::Audit Client::audit() const {
   Audit a;
-  for (const auto& [seq, pending] : outstanding_) {
-    if (pending.completed) {
+  for (std::size_t i = 0; i < issued(); ++i) {
+    if (pending_chunks_[i / kPendingChunk][i % kPendingChunk].completed) {
       ++a.completed_entries;
     } else {
       ++a.incomplete_entries;

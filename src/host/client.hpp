@@ -11,9 +11,9 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/histogram.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -22,6 +22,7 @@
 #include "phys/node.hpp"
 #include "sim/scheduler.hpp"
 #include "wire/frame.hpp"
+#include "wire/rpc.hpp"
 
 namespace netclone::host {
 
@@ -170,9 +171,6 @@ class Client : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t outstanding() const {
-    return outstanding_.size();
-  }
 
   /// Accounting scan over the request table for the invariant auditor:
   /// every issued request is either completed exactly once or still
@@ -209,36 +207,52 @@ class Client : public phys::Node {
       const std::vector<double>& cdf, double u);
 
  private:
+  /// One issued request. Kept small: the table holds one per request ever
+  /// issued, so its size is a direct term of the client's peak memory.
   struct Pending {
     SimTime sent_at;
-    bool completed = false;
-    bool measured = false;
     std::uint64_t frag_mask = 0;  // response fragments received so far
-    std::uint32_t retries = 0;
-    wire::RpcRequest request{};   // kept for retransmission
-    std::uint16_t grp = 0;
-    std::uint8_t idx = 0;
     /// Decomposition reported by the (winning) server, from the response
     /// fragment that carried the payload.
     std::uint32_t server_wait_ns = 0;
     std::uint32_t server_service_ns = 0;
     /// C-Clone: the two chosen workers, for targeted cancellation.
     std::array<wire::Ipv4Address, 2> cclone_dsts{};
-    /// Serialized request frames, cached so TCP-mode retransmissions resend
-    /// the same buffers instead of re-serializing (empty unless
-    /// retransmit_timeout is armed; never used for kDirectRandom, which
-    /// re-draws its destination every attempt). Released on completion.
+    std::uint16_t grp = 0;
+    std::uint8_t idx = 0;
+    bool completed = false;
+  };
+  static_assert(sizeof(Pending) <= 64);
+
+  /// What only TCP mode (retransmit_timeout > 0) needs to resend a
+  /// request. Lives in a side table from issue until completion (or the
+  /// last retry), so the common open-loop UDP path never carries it.
+  struct Retransmit {
+    wire::RpcRequest request{};
+    /// Serialized request frames, cached so retransmissions resend the
+    /// same buffers instead of re-serializing (never used for
+    /// kDirectRandom, which re-draws its destination every attempt).
     std::vector<wire::FrameHandle> tx_frames{};
     /// The request body, serialized once into a shared pooled buffer.
     /// Every attempt — fragments, the C-Clone pair, and kDirectRandom
     /// retransmissions (which re-draw their destination and so must
     /// rebuild headers) — composes its header block with this tail by
-    /// refcount; the payload bytes are never serialized again. Built only
-    /// when a retransmit timer can fire; released on completion.
+    /// refcount; the payload bytes are never serialized again.
     wire::SharedPayload payload_tail{};
-    /// Pending retransmit timeout (TCP mode); cancelled on completion so
-    /// the event — and the closure it holds — is freed immediately.
+    /// Pending retransmit timeout; cancelled on completion so the event —
+    /// and the closure it holds — is freed immediately.
     sim::EventId retransmit_event{};
+    std::uint32_t retries = 0;
+  };
+
+  /// What the receiver thread hands to response processing: the decoded
+  /// NetClone header, the responder, and the server's decomposition when
+  /// the fragment carried a well-formed response body.
+  struct ResponseInfo {
+    wire::NetCloneHeader nc{};
+    wire::Ipv4Address responder{};
+    bool has_timing = false;
+    wire::RpcResponse::Timing timing{};
   };
 
   void issue_request();
@@ -247,7 +261,11 @@ class Client : public phys::Node {
   [[nodiscard]] SimTime next_arrival_time();
   void send_cancel(const Pending& pending, std::uint32_t client_seq,
                    wire::Ipv4Address responder);
-  void send_all_packets(Pending& pending, std::uint32_t client_seq);
+  /// Sends every packet of one attempt. With a non-null `retx` (TCP mode)
+  /// the frames and the payload tail are cached there, and a later call
+  /// resends the cached frames byte for byte.
+  void send_all_packets(const Pending& pending, const wire::RpcRequest& req,
+                        std::uint32_t client_seq, Retransmit* retx);
   /// Builds, serializes and paces one request packet; returns the frame so
   /// the caller can cache it for retransmission. With a non-null `tail`
   /// the frame is composed scatter-gather: fresh headers over the shared
@@ -260,10 +278,21 @@ class Client : public phys::Node {
   /// Paces one already-serialized frame through the sender thread.
   void emit_frame(wire::FrameHandle bytes);
   void arm_retransmit_timer(std::uint32_t client_seq);
+  void on_retransmit_timeout(std::uint32_t client_seq);
   /// Backoff delay before retry number `retries` (0-based), jittered
   /// from the dedicated retry stream.
   [[nodiscard]] SimTime retransmit_delay(std::uint32_t retries);
-  void on_response_processed(wire::Packet pkt);
+  void on_response_processed(const ResponseInfo& rsp);
+
+  /// The request table: `client_seq` is dense from 1 and entries are
+  /// never erased, so request `seq` lives at index seq - 1 of a chunked
+  /// array. Chunks keep every entry at a fixed address while new ones are
+  /// added (a closed-loop completion issues its successor while holding
+  /// its own entry) and grow memory in small steps.
+  static constexpr std::size_t kPendingChunk = 1024;
+  Pending& add_pending();
+  [[nodiscard]] Pending* find_pending(std::uint32_t client_seq);
+  [[nodiscard]] std::size_t issued() const { return next_seq_ - 1U; }
 
   sim::Scheduler& sim_;
   ClientParams params_;
@@ -283,7 +312,10 @@ class Client : public phys::Node {
   SimTime rx_busy_until_ = SimTime::zero();
   SimTime burst_on_until_ = SimTime::zero();  // end of the current ON window
   std::uint32_t next_seq_ = 1;
-  std::unordered_map<std::uint32_t, Pending> outstanding_;
+  std::vector<std::unique_ptr<Pending[]>> pending_chunks_;
+  /// TCP-mode resend state by client_seq (empty unless retransmit_timeout
+  /// is set).
+  FlatMap64<Retransmit> retransmits_;
   ClientStats stats_;
 };
 

@@ -20,6 +20,16 @@ Server::Server(sim::Scheduler& scheduler, ServerParams params,
   // in-flight multi-packet request); presizing keeps the dispatch path
   // rehash-free well past that.
   partials_.reserve(256);
+  reset_worker_slots();
+}
+
+void Server::reset_worker_slots() {
+  slots_.assign(params_.workers, WorkerSlot{});
+  free_slots_.clear();
+  // Pushed in reverse so the lowest free slot is taken first.
+  for (std::uint32_t w = params_.workers; w > 0; --w) {
+    free_slots_.push_back(w - 1);
+  }
 }
 
 void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
@@ -60,25 +70,31 @@ void Server::handle_frame(std::size_t /*port*/, wire::FrameHandle frame) {
   const SimTime now = sim_.now();
   const SimTime start = std::max(now, dispatcher_busy_until_);
   dispatcher_busy_until_ = start + params_.dispatch_cost;
-  sim_.schedule_at(dispatcher_busy_until_,
-                   [this, epoch = epoch_, req = std::move(req)]() mutable {
-                     if (epoch != epoch_) {
-                       ++stats_.abandoned_in_flight;
-                       return;  // the dispatcher died with the crash
-                     }
-                     on_dispatch(std::move(req));
-                   });
+  dispatch_fifo_.push_back(std::move(req));
+  auto dispatch = [this, epoch = epoch_] { on_dispatch_event(epoch); };
+  static_assert(sim::EventCallback::fits_inline<decltype(dispatch)>);
+  sim_.schedule_at(dispatcher_busy_until_, std::move(dispatch));
+}
+
+void Server::on_dispatch_event(std::uint64_t epoch) {
+  if (epoch != epoch_) {
+    ++stats_.abandoned_in_flight;
+    return;  // the dispatcher died with the crash
+  }
+  PendingRequest req = std::move(dispatch_fifo_.front());
+  dispatch_fifo_.pop_front();
+  on_dispatch(std::move(req));
 }
 
 void Server::on_cancel(const wire::NetCloneHeader& nc) {
   // Cancel only reaches into the waiting queue and the reassembly table;
   // a request already being executed runs to completion (no preemption,
   // as in C-Clone practice).
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    const wire::NetCloneHeader& queued = it->req.nc;
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const wire::NetCloneHeader& queued = queue_[i].req.nc;
     if (queued.client_id == nc.client_id &&
         queued.client_seq == nc.client_seq) {
-      queue_.erase(it);
+      queue_.erase_at(i);
       ++stats_.cancelled_requests;
       return;
     }
@@ -114,7 +130,7 @@ void Server::on_dispatch(PendingRequest req) {
     const bool busy =
         params_.clone_admission == CloneAdmission::kQueueEmpty
             ? !queue_.empty()
-            : !queue_.empty() || busy_workers_ >= params_.workers;
+            : !queue_.empty() || free_slots_.empty();
     if (busy) {
       ++stats_.dropped_stale_clones;
       return;
@@ -188,20 +204,18 @@ void Server::sweep_stale_partials() {
 }
 
 void Server::try_start_worker() {
-  if (busy_workers_ >= params_.workers || queue_.empty()) {
+  if (free_slots_.empty() || queue_.empty()) {
     return;
   }
   PendingRequest req = std::move(queue_.front().req);
   const SimTime queue_wait = sim_.now() - queue_.front().enqueued_at;
   stats_.queue_wait.record(queue_wait);
   queue_.pop_front();
-  ++busy_workers_;
 
   wire::RpcRequest rpc;
   try {
     rpc = wire::RpcRequest::from_frame(req.payload);
   } catch (const wire::CodecError&) {
-    --busy_workers_;
     try_start_worker();
     return;
   }
@@ -210,17 +224,28 @@ void Server::try_start_worker() {
     exec = SimTime::nanoseconds(static_cast<std::int64_t>(
         static_cast<double>(exec.ns()) * slowdown_));
   }
-  sim_.schedule_after(exec + params_.response_tx_cost,
-                      [this, epoch = epoch_, queue_wait, exec,
-                       req = std::move(req)]() mutable {
-                        if (epoch != epoch_) {
-                          // The worker's result died with the crash;
-                          // busy_workers_ was reset there.
-                          ++stats_.abandoned_in_flight;
-                          return;
-                        }
-                        on_complete(std::move(req), queue_wait, exec);
-                      });
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = WorkerSlot{std::move(req), queue_wait, exec};
+  auto complete = [this, epoch = epoch_, slot] {
+    on_worker_event(epoch, slot);
+  };
+  static_assert(sim::EventCallback::fits_inline<decltype(complete)>);
+  sim_.schedule_after(exec + params_.response_tx_cost, std::move(complete));
+}
+
+void Server::on_worker_event(std::uint64_t epoch, std::uint32_t slot) {
+  if (epoch != epoch_) {
+    // The worker's result died with the crash; its slot was reset there.
+    ++stats_.abandoned_in_flight;
+    return;
+  }
+  WorkerSlot& done = slots_[slot];
+  PendingRequest req = std::move(done.req);
+  const SimTime queue_wait = done.queue_wait;
+  const SimTime service = done.service;
+  free_slots_.push_back(slot);
+  on_complete(std::move(req), queue_wait, service);
 }
 
 void Server::crash() {
@@ -228,10 +253,11 @@ void Server::crash() {
   ++epoch_;  // voids every in-flight dispatch and worker completion
   crashed_ = true;
   paused_ = false;
+  dispatch_fifo_.clear();
   queue_.clear();
   partials_.clear();
   paused_rx_.clear();
-  busy_workers_ = 0;
+  reset_worker_slots();
   dispatcher_busy_until_ = sim_.now();
 }
 
@@ -306,10 +332,15 @@ void Server::on_complete(PendingRequest req, SimTime queue_wait,
   // The request payload view is done with; drop its pin on the received
   // frame before the response outlives it.
   req.payload.clear();
-  // Serialize the body ONCE into a shared pooled tail; every fragment
-  // below composes its freshly built header block with this buffer by
-  // refcount — the body bytes are never copied again.
-  const wire::SharedPayload tail = wire::SharedPayload::of(body.to_frame());
+  // Serialize the body ONCE, straight into a shared pooled tail; every
+  // fragment below composes its freshly built header block with this
+  // buffer by refcount — the body bytes are never copied again.
+  wire::FrameHandle body_bytes = wire::FrameHandle::allocate(body.wire_size());
+  wire::ByteWriter body_writer{
+      std::span<std::byte>{body_bytes.writable_all(), body.wire_size()}};
+  body.serialize(body_writer);
+  const wire::SharedPayload tail =
+      wire::SharedPayload::adopt(std::move(body_bytes));
   resp.payload = tail.ref();
 
   ++stats_.responses_total;
@@ -339,7 +370,6 @@ void Server::on_complete(PendingRequest req, SimTime queue_wait,
     burst_.clear();
   }
 
-  --busy_workers_;
   try_start_worker();
 }
 

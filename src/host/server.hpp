@@ -15,14 +15,20 @@
 // and each fragment is a freshly built header block composed with that
 // tail by refcount. Packet::serialize() remains the byte oracle both are
 // tested against.
+//
+// Scheduled events carry no request state: a request waiting for the
+// dispatcher sits in a server-owned FIFO and one in service in its
+// worker's slot, and the events capture only the server, the crash epoch
+// and (for workers) the slot index — small enough to live inline in the
+// event, so the steady-state request path makes no heap allocation.
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/histogram.hpp"
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "host/addressing.hpp"
@@ -113,7 +119,9 @@ class Server : public phys::Node {
   [[nodiscard]] const ServerStats& stats() const { return stats_; }
   [[nodiscard]] ServerId sid() const { return params_.sid; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
-  [[nodiscard]] std::uint32_t busy_workers() const { return busy_workers_; }
+  [[nodiscard]] std::uint32_t busy_workers() const {
+    return params_.workers - static_cast<std::uint32_t>(free_slots_.size());
+  }
 
   // Fault hooks (the deterministic chaos layer). Crash models a process
   // kill: all soft state (queue, partials, in-service work) is lost and
@@ -160,7 +168,15 @@ class Server : public phys::Node {
     PendingRequest req;
     SimTime enqueued_at;
   };
+  /// A request a worker is executing, parked until its completion event.
+  struct WorkerSlot {
+    PendingRequest req{};
+    SimTime queue_wait;
+    SimTime service;
+  };
 
+  /// Dispatch event: pops the oldest request of dispatch_fifo_.
+  void on_dispatch_event(std::uint64_t epoch);
   void on_dispatch(PendingRequest req);
   void on_cancel(const wire::NetCloneHeader& nc);
   /// Returns true when all fragments arrived; `req` then holds the
@@ -168,7 +184,11 @@ class Server : public phys::Node {
   bool reassemble(PendingRequest& req);
   void sweep_stale_partials();
   void try_start_worker();
+  /// Worker completion event for the request parked in `slot`.
+  void on_worker_event(std::uint64_t epoch, std::uint32_t slot);
   void on_complete(PendingRequest req, SimTime queue_wait, SimTime service);
+  /// Empties every worker slot (all workers idle).
+  void reset_worker_slots();
 
   sim::Scheduler& sim_;
   ServerParams params_;
@@ -178,7 +198,16 @@ class Server : public phys::Node {
   wire::MacAddress my_mac_;
 
   SimTime dispatcher_busy_until_ = SimTime::zero();
-  std::deque<QueueEntry> queue_;
+  /// Received requests waiting for the dispatcher thread, in arrival
+  /// order. Each has one dispatch event scheduled; those events fire in
+  /// FIFO order because dispatcher_busy_until_ never decreases within an
+  /// epoch (ties fire in scheduling order), so each event pops the front.
+  RingFifo<PendingRequest> dispatch_fifo_;
+  /// The FCFS queue the workers drain.
+  RingFifo<QueueEntry> queue_;
+  /// One slot per worker thread; free_slots_ lists the idle ones.
+  std::vector<WorkerSlot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   /// Reassembly table, slab-allocated: partials live inline in the flat
   /// map's contiguous slot array (no per-entry heap node), keyed by the
   /// client tuple. Presized at construction so the dispatch path never
@@ -188,9 +217,9 @@ class Server : public phys::Node {
   /// backward-shift erase must not run under its own iteration).
   std::vector<std::uint64_t> expired_keys_;
   std::uint64_t dispatch_counter_ = 0;
-  std::uint32_t busy_workers_ = 0;
   /// Bumped by crash(); scheduled dispatch/completion events carry the
-  /// epoch they were created in and no-op when it is stale.
+  /// epoch they were created in and no-op when it is stale (crash() has
+  /// already emptied the FIFO and the slots they refer to).
   std::uint64_t epoch_ = 0;
   bool crashed_ = false;
   bool paused_ = false;

@@ -125,8 +125,10 @@ void Link::enqueue(wire::FrameHandle frame) {
 
 void Link::arm_head() {
   const InFlight& head = pending_.front();
-  delivery_event_ = sim_.schedule_at_seq(head.deliver_at, head.seq,
-                                         [this] { deliver_head(); });
+  auto deliver = [this] { deliver_head(); };
+  static_assert(sim::EventCallback::fits_inline<decltype(deliver)>);
+  delivery_event_ =
+      sim_.schedule_at_seq(head.deliver_at, head.seq, std::move(deliver));
 }
 
 void Link::deliver_head() {

@@ -10,7 +10,7 @@
 // Delivery is batched: in-flight frames wait in a per-link FIFO and a
 // single scheduler event is armed for the earliest delivery, so a busy
 // link holds one pending event no matter how deep its queue — transmit
-// is a deque push plus a tie-break sequence reservation. Each firing
+// is a ring push plus a tie-break sequence reservation. Each firing
 // delivers the head frame and rearms for the next under the sequence
 // number reserved at its transmit, so same-timestamp ordering across
 // links is bit-for-bit what eager per-frame scheduling would produce.
@@ -20,9 +20,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
+#include "common/ring.hpp"
 #include "common/rng.hpp"
 #include "sim/scheduler.hpp"
 #include "wire/framebuf.hpp"
@@ -148,7 +148,7 @@ class Link {
   SimTime busy_until_ = SimTime::zero();
   std::size_t queued_ = 0;
   bool up_ = true;
-  std::deque<InFlight> pending_;
+  RingFifo<InFlight> pending_;
   sim::EventId delivery_event_{};
   LinkStats stats_;
   std::unique_ptr<ImpairmentState> impair_;

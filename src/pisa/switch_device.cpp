@@ -32,7 +32,9 @@ void SwitchDevice::set_loopback_port(std::size_t port) {
 
 void SwitchDevice::configure_multicast_group(std::uint16_t group,
                                              std::vector<std::size_t> ports) {
-  mcast_groups_.insert_or_assign(group, std::move(ports));
+  mcast_groups_.insert_or_assign(
+      group, std::make_shared<const std::vector<std::size_t>>(
+                 std::move(ports)));
 }
 
 void SwitchDevice::fail() {
@@ -96,44 +98,43 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
 
   // Resolve the output port set and schedule the egress after the fixed
   // pipeline traversal latency. The deparser (serialize) runs exactly
-  // once; a multicast set then shares the resulting buffer across all
-  // output ports by reference count. The common unicast case carries its
-  // single port in the closure — no port-vector allocation per packet.
+  // once, here; a multicast set then shares the resulting buffer across
+  // all output ports by reference count. The common unicast case carries
+  // its single port in the closure — no port set per packet.
   if (md.multicast_group) {
-    const std::vector<std::size_t>* ports =
-        mcast_groups_.find(*md.multicast_group);
+    const PortSet* ports = mcast_groups_.find(*md.multicast_group);
     if (ports == nullptr) {
       ++stats_.dropped_by_program;
       return;
     }
-    if (ports->size() > 1) {
-      stats_.multicast_copies += ports->size() - 1;
+    if ((*ports)->size() > 1) {
+      stats_.multicast_copies += (*ports)->size() - 1;
     }
     ++stats_.egress_scheduled;
-    sim_.schedule_after(params_.pipeline_latency,
-                        [this, out_ports = *ports,
-                         pkt = std::move(pkt)]() mutable {
-                          if (failed_) {
-                            ++stats_.flushed_in_pipeline;
-                            return;
-                          }
-                          const wire::FrameHandle bytes =
-                              pkt.serialize_pooled();
-                          for (const std::size_t p : out_ports) {
-                            emit(p, bytes);
-                          }
-                        });
+    auto egress = [this, out_ports = *ports,
+                   bytes = pkt.serialize_pooled()]() {
+      if (failed_) {
+        ++stats_.flushed_in_pipeline;
+        return;
+      }
+      for (const std::size_t p : *out_ports) {
+        emit(p, bytes);
+      }
+    };
+    static_assert(sim::EventCallback::fits_inline<decltype(egress)>);
+    sim_.schedule_after(params_.pipeline_latency, std::move(egress));
   } else if (md.egress_port) {
     ++stats_.egress_scheduled;
-    sim_.schedule_after(params_.pipeline_latency,
-                        [this, port = *md.egress_port,
-                         pkt = std::move(pkt)]() mutable {
-                          if (failed_) {
-                            ++stats_.flushed_in_pipeline;
-                            return;
-                          }
-                          emit(port, pkt.serialize_pooled());
-                        });
+    auto egress = [this, port = *md.egress_port,
+                   bytes = pkt.serialize_pooled()]() mutable {
+      if (failed_) {
+        ++stats_.flushed_in_pipeline;
+        return;
+      }
+      emit(port, std::move(bytes));
+    };
+    static_assert(sim::EventCallback::fits_inline<decltype(egress)>);
+    sim_.schedule_after(params_.pipeline_latency, std::move(egress));
   } else {
     ++stats_.dropped_by_program;  // program made no forwarding decision
   }
@@ -142,11 +143,11 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
 void SwitchDevice::emit(std::size_t port, wire::FrameHandle bytes) {
   if (is_loopback(port)) {
     ++stats_.recirculated;
-    sim_.schedule_after(
-        params_.recirculation_latency,
-        [this, port, bytes = std::move(bytes)]() mutable {
-          process(port, std::move(bytes), /*recirculated=*/true);
-        });
+    auto reenter = [this, port, bytes = std::move(bytes)]() mutable {
+      process(port, std::move(bytes), /*recirculated=*/true);
+    };
+    static_assert(sim::EventCallback::fits_inline<decltype(reenter)>);
+    sim_.schedule_after(params_.recirculation_latency, std::move(reenter));
     return;
   }
   ++stats_.tx_frames;

@@ -86,6 +86,10 @@ class SwitchDevice : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
  private:
+  /// Parser, ingress program and deparser. The deparser runs here, at
+  /// ingress — nothing touches the packet after the program — so the
+  /// egress event scheduled after the pipeline latency carries only the
+  /// serialized frame handle and its port (or port set).
   void process(std::size_t port, wire::FrameHandle frame, bool recirculated);
   /// Hands one shared frame handle to an output port. Every port of a
   /// multicast set receives a refcount bump of the same serialized bytes —
@@ -102,7 +106,12 @@ class SwitchDevice : public phys::Node {
   std::shared_ptr<SwitchProgram> program_;
   /// Dense per-port loopback flags (ports are small dense integers).
   std::vector<bool> loopback_ports_;
-  FlatMap64<std::vector<std::size_t>> mcast_groups_;
+  /// Port sets are immutable once configured: reconfiguring a group
+  /// installs a new set, so an egress event scheduled before the change
+  /// keeps the set that was in force at its ingress by holding a
+  /// reference, not a per-packet copy of the ports.
+  using PortSet = std::shared_ptr<const std::vector<std::size_t>>;
+  FlatMap64<PortSet> mcast_groups_;
   std::size_t internal_ports_ = 0;
   bool failed_ = false;
   SwitchStats stats_;

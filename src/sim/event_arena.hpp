@@ -302,8 +302,14 @@ class EventArena {
       return;
     }
     clear_bit(level, slot);
-    scratch_.clear();
-    scratch_.swap(wheel_[level][slot]);  // capacities rotate, no churn
+    // Copy out rather than swap: a swap would hand this bucket the
+    // staging buffer's capacity, so buckets kept trading arrays of the
+    // wrong size and regrowing them at steady state. Copying lets every
+    // bucket (and scratch_) keep its own high-water capacity. Re-filing
+    // never targets this bucket: every entry lands on a lower level.
+    std::vector<HeapEntry>& bucket = wheel_[level][slot];
+    scratch_.assign(bucket.begin(), bucket.end());
+    bucket.clear();
     for (const HeapEntry& entry : scratch_) {
       if (is_live(entry)) {
         push_entry(entry.when, entry.key);

@@ -39,18 +39,28 @@ struct EventId {
   friend bool operator==(const EventId&, const EventId&) = default;
 };
 
-/// Move-only callable with small-buffer optimization, sized so the common
-/// event captures (a node pointer plus a frame or a couple of scalars) fit
-/// inline. The schedule/fire cycle then performs zero heap allocations —
-/// std::function, by contrast, spills almost every capture in this
-/// codebase to the heap. Oversized or over-aligned captures still work;
-/// they fall back to a single heap cell.
+/// Move-only callable with small-buffer optimization. A capture that fits
+/// the inline buffer (see fits_inline) is stored in place and the
+/// schedule/fire cycle performs no heap allocation for it; anything larger
+/// or over-aligned still works but costs one heap cell per event, which
+/// on a per-packet path is one malloc/free pair per packet. Whether a
+/// given closure fits is a property of its captures, not of this class:
+/// a lambda that captures a whole wire::Packet (about 170 bytes) spills.
+/// Hot schedule sites therefore capture handles and scalars only, keep
+/// queued state in its owner, and static_assert fits_inline so a capture
+/// that grows past the budget fails to build.
 class EventCallback {
  public:
-  /// Inline capture budget. 64 bytes covers a `this` pointer + a
-  /// std::vector payload + a few scalars (the link-delivery lambda, the
-  /// largest common case) without bloating the event arena's slots.
+  /// Inline capture budget: a `this` pointer plus a FrameHandle (24 bytes)
+  /// and a few scalars, without bloating the event arena's slots.
   static constexpr std::size_t kInlineCapacity = 64;
+
+  /// True when a callable of type F is stored inline (no heap cell).
+  template <typename F>
+  static constexpr bool fits_inline =
+      sizeof(std::decay_t<F>) <= kInlineCapacity &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
 
   EventCallback() = default;
 
@@ -61,9 +71,7 @@ class EventCallback {
   // as with std::function.
   EventCallback(F&& fn) {
     using D = std::decay_t<F>;
-    if constexpr (sizeof(D) <= kInlineCapacity &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (fits_inline<D>) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
       ops_ = &InlineOps<D>::table;
     } else {

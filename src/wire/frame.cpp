@@ -96,14 +96,22 @@ Packet parse_headers(ByteReader& r) {
 }  // namespace
 
 SharedPayload SharedPayload::of(std::span<const std::byte> bytes) {
-  SharedPayload tail;
   if (bytes.empty()) {
+    return SharedPayload{};
+  }
+  return adopt(FrameHandle::copy_of(bytes));
+}
+
+SharedPayload SharedPayload::adopt(FrameHandle frame) {
+  SharedPayload tail;
+  if (frame.empty()) {
     return tail;
   }
-  tail.frame = FrameHandle::copy_of(bytes);
   // internet_checksum returns the complemented fold; undo the complement
   // to keep the raw folded sum fragments add their header deltas to.
-  tail.folded_sum = static_cast<std::uint16_t>(~internet_checksum(bytes));
+  tail.folded_sum =
+      static_cast<std::uint16_t>(~internet_checksum(frame.bytes()));
+  tail.frame = std::move(frame);
   return tail;
 }
 

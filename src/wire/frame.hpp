@@ -43,6 +43,9 @@ struct SharedPayload {
   std::uint16_t folded_sum = 0;
 
   [[nodiscard]] static SharedPayload of(std::span<const std::byte> bytes);
+  /// Takes over an already filled, unsplit pooled frame as the payload
+  /// (no byte copy); an empty frame yields an empty payload.
+  [[nodiscard]] static SharedPayload adopt(FrameHandle frame);
 
   [[nodiscard]] std::size_t size() const { return frame.size(); }
   /// The bytes as a zero-copy PayloadRef view pinning the buffer.

@@ -58,7 +58,7 @@ RpcResponse RpcResponse::parse(ByteReader& r) {
 
 Frame RpcResponse::to_frame() const {
   Frame f;
-  f.reserve(11 + value.size());
+  f.reserve(wire_size());
   ByteWriter w{f};
   serialize(w);
   return f;
@@ -67,6 +67,18 @@ Frame RpcResponse::to_frame() const {
 RpcResponse RpcResponse::from_frame(std::span<const std::byte> f) {
   ByteReader r{f};
   return parse(r);
+}
+
+std::optional<RpcResponse::Timing> RpcResponse::read_timing(
+    std::span<const std::byte> f) {
+  if (f.size() < kFixedSize) {
+    return std::nullopt;
+  }
+  const std::byte* p = f.data();
+  if (f.size() - kFixedSize < load_u16(p, 9)) {
+    return std::nullopt;  // the value is cut short
+  }
+  return Timing{load_u32(p, 1), load_u32(p, 5)};
 }
 
 }  // namespace netclone::wire

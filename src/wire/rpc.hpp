@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "wire/bytes.hpp"
 
@@ -56,10 +57,29 @@ struct RpcResponse {
   /// GET: the object value; SCAN: an 8-byte digest; SYNTHETIC/SET: empty.
   Frame value{};
 
+  /// Encoded size: the 11-byte fixed part plus the value.
+  [[nodiscard]] std::size_t wire_size() const {
+    return kFixedSize + value.size();
+  }
+
   void serialize(ByteWriter& w) const;
   [[nodiscard]] static RpcResponse parse(ByteReader& r);
   [[nodiscard]] Frame to_frame() const;
   [[nodiscard]] static RpcResponse from_frame(std::span<const std::byte> f);
+
+  /// The server-reported decomposition of an encoded response.
+  struct Timing {
+    std::uint32_t queue_wait_ns = 0;
+    std::uint32_t service_ns = 0;
+  };
+  /// Reads queue_wait_ns and service_ns from an encoded response without
+  /// materializing its value. Accepts exactly the inputs from_frame()
+  /// accepts (a truncated fixed part or value is rejected, trailing bytes
+  /// are ignored) and returns nullopt where from_frame() would throw.
+  [[nodiscard]] static std::optional<Timing> read_timing(
+      std::span<const std::byte> f);
+
+  static constexpr std::size_t kFixedSize = 11;
 };
 
 }  // namespace netclone::wire

@@ -438,6 +438,33 @@ TEST(ExperimentFaults, ApplyLinkAndServerAndSwitchFaults) {
       CheckFailure);
 }
 
+TEST(ExperimentFaults, SingleRackRejectsFatTreeActions) {
+  // agg_fail/agg_rejoin/rack_down/rack_up address aggregation replicas and
+  // server racks; a single-rack plan holding one must fail at install,
+  // naming the action, instead of running with no fault injected.
+  for (const char* line :
+       {"at=1ms agg_fail agg0", "at=1ms agg_rejoin agg1",
+        "at=1ms rack_down rack0", "at=1ms rack_up rack0"}) {
+    const FaultEvent event = parse_fault_entry(line);
+    const std::string action = fault_action_name(event.action);
+    harness::ClusterConfig cfg = netclone::testing::chaos_cluster(8);
+    cfg.faults.events.push_back(event);
+    try {
+      harness::Experiment exp{cfg};
+      ADD_FAILURE() << line << " was accepted by a single-rack cluster";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(action), std::string::npos)
+          << e.what();
+    }
+    // A plan installed later, and a direct apply, are rejected the same.
+    harness::Experiment exp{netclone::testing::chaos_cluster(8)};
+    harness::FaultPlan plan;
+    plan.events.push_back(event);
+    EXPECT_THROW(exp.install_fault_plan(plan), CheckFailure) << line;
+    EXPECT_THROW(exp.apply_fault(event), CheckFailure) << line;
+  }
+}
+
 TEST(ExperimentFaults, FilterStaleCausesFilteredResponseAbsorbedByRetry) {
   // Plant stale fingerprints for upcoming request ids: the first response
   // hashing there is wrongly filtered, and TCP-mode retransmission must

@@ -65,6 +65,30 @@ TEST(RpcResponse, LengthFieldGuardsParse) {
   EXPECT_THROW((void)RpcResponse::from_frame(f), CodecError);
 }
 
+TEST(RpcResponse, ReadTimingAgreesWithFromFrame) {
+  // read_timing accepts exactly what from_frame accepts, and reads the
+  // same two fields, on every truncation and with trailing bytes.
+  RpcResponse resp;
+  resp.queue_wait_ns = 0xA1B2C3D4U;
+  resp.service_ns = 77;
+  resp.value.assign(9, std::byte{3});
+  EXPECT_EQ(resp.wire_size(), resp.to_frame().size());
+  Frame full = resp.to_frame();
+  full.push_back(std::byte{0xEE});  // trailing byte: ignored by both
+  for (std::size_t len = 0; len <= full.size(); ++len) {
+    const std::span<const std::byte> prefix{full.data(), len};
+    const auto timing = RpcResponse::read_timing(prefix);
+    try {
+      const RpcResponse parsed = RpcResponse::from_frame(prefix);
+      ASSERT_TRUE(timing.has_value()) << "len " << len;
+      EXPECT_EQ(timing->queue_wait_ns, parsed.queue_wait_ns);
+      EXPECT_EQ(timing->service_ns, parsed.service_ns);
+    } catch (const CodecError&) {
+      EXPECT_FALSE(timing.has_value()) << "len " << len;
+    }
+  }
+}
+
 // All op codes survive a round trip.
 class OpSweep : public ::testing::TestWithParam<RpcOp> {};
 
