@@ -2,18 +2,22 @@
 // re-materializing path, measured three ways.
 //
 //   * per-hop: the switch-hop cycle (parse -> header mutate -> deparse) on
-//     one frame, in frames per second. Both sides run the identical
-//     FrameHandle loop; "legacy" disables the fast path, so every hop
+//     one frame, in frames per second. The fast side runs what the switch
+//     runs: a SwitchPacket view over the pooled buffer that patches only
+//     the dirty header bytes in place (RFC 1624 incremental checksums).
+//     "legacy" runs Packet with the fast path disabled, so every hop
 //     linearizes the frame into vectors at parse and rebuilds + copies it
 //     back into a pooled buffer at deparse — the data path without the
-//     zero-copy layer. The fast path views the pooled buffer and patches
-//     dirty header bytes in place (RFC 1624 incremental checksums).
+//     zero-copy layer.
 //   * multicast: one parsed packet replicated to 8 ports. Legacy serializes
-//     per port; the fast path deparses once and bumps a refcount per port.
+//     per port; the fast path (SwitchPacket) deparses once and bumps a
+//     refcount per port.
 //   * end-to-end: one Figure-7-style NetClone experiment wall-clocked with
-//     the fast path enabled vs disabled. Both runs must produce identical
-//     simulated results (the fast path is byte-invisible); only the wall
-//     clock may differ. The fig7 digest keys come from the fast-path run.
+//     the Packet fast path enabled vs disabled. The toggle reaches only
+//     the hosts' Packet codec (the switch always runs SwitchPacket), so
+//     this pair is an info row. Both runs must produce identical simulated
+//     results (the fast path is byte-invisible); only the wall clock may
+//     differ. The fig7 digest keys come from the fast-path run.
 //
 // Every timed section is best-of-3. Results land in BENCH_packet_path.json.
 //
@@ -31,6 +35,7 @@
 #include "host/workload.hpp"
 #include "wire/frame.hpp"
 #include "wire/framebuf.hpp"
+#include "wire/switch_packet.hpp"
 
 using namespace netclone;
 
@@ -57,8 +62,10 @@ wire::Packet sample_packet(std::size_t payload_size) {
                               40001, nc, std::move(payload));
 }
 
-/// The header rewrites one NetClone switch hop performs on a request.
-void mutate_hop(wire::Packet& pkt, std::uint32_t i) {
+/// The header rewrites one NetClone switch hop performs on a request, on
+/// either a Packet or the switch's SwitchPacket view.
+template <typename P>
+void mutate_hop(P& pkt, std::uint32_t i) {
   pkt.ip.dst = wire::Ipv4Address{0x0A000000U + (i & 0xFFU)};
   pkt.nc().req_id = i;
   pkt.nc().clo = (i & 1U) != 0 ? wire::CloneStatus::kClonedCopy
@@ -66,13 +73,27 @@ void mutate_hop(wire::Packet& pkt, std::uint32_t i) {
   pkt.nc().state = static_cast<std::uint16_t>(i & 0x3FU);
 }
 
-/// One switch-hop cycle over a FrameHandle. With the fast path on, the
-/// backed parse views the pooled buffer and the deparse patches it in
-/// place; with it off, every hop linearizes to vectors and rebuilds —
-/// the per-hop byte traffic of the path without the zero-copy layer.
-double bench_per_hop(bool fastpath, std::size_t iters,
-                     std::size_t payload_size) {
-  wire::set_packet_fastpath_enabled(fastpath);
+/// One switch-hop cycle over a FrameHandle, as SwitchDevice runs it: the
+/// SwitchPacket view loads the program's fields and the deparse patches
+/// the dirty bytes in place.
+double bench_per_hop_fast(std::size_t iters, std::size_t payload_size) {
+  wire::FrameHandle frame{sample_packet(payload_size).serialize()};
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < iters; ++i) {
+    wire::SwitchPacket pkt = wire::SwitchPacket::parse(std::move(frame));
+    mutate_hop(pkt, static_cast<std::uint32_t>(i));
+    frame = pkt.deparse();
+  }
+  const double elapsed = seconds_since(start);
+  NETCLONE_CHECK(!frame.empty(), "sink");
+  return static_cast<double>(iters) / elapsed;
+}
+
+/// The same cycle through Packet with the fast path off: every hop
+/// linearizes to vectors and rebuilds — the per-hop byte traffic of the
+/// path without the zero-copy layer.
+double bench_per_hop_legacy(std::size_t iters, std::size_t payload_size) {
+  wire::set_packet_fastpath_enabled(false);
   wire::FrameHandle frame{sample_packet(payload_size).serialize()};
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
@@ -112,8 +133,8 @@ double bench_multicast_fast(std::size_t iters, std::size_t payload_size) {
   std::size_t sink = 0;
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < iters; ++i) {
-    wire::Packet pkt = wire::Packet::parse_backed(incoming);
-    const wire::FrameHandle bytes = pkt.serialize_pooled();
+    wire::SwitchPacket pkt = wire::SwitchPacket::parse(incoming);
+    const wire::FrameHandle bytes = pkt.deparse();
     for (std::size_t p = 0; p < kFanOut; ++p) {
       const wire::FrameHandle port_copy = bytes;
       sink += port_copy.size();
@@ -131,7 +152,8 @@ struct E2e {
 };
 
 /// One Figure-7-style point (NetClone scheme, Exp(25) workload, 80% load),
-/// wall-clocked with the zero-copy fast path on or off.
+/// wall-clocked with the hosts' Packet fast path on or off (the switch
+/// runs SwitchPacket either way).
 E2e run_fig7_point(bool fastpath) {
   harness::ClusterConfig cfg = bench::synthetic_cluster(
       std::make_shared<host::ExponentialWorkload>(25.0),
@@ -168,16 +190,22 @@ int main(int argc, char** argv) {
   const std::string out_path =
       argc > 1 ? argv[1] : "BENCH_packet_path.json";
 
-  // Sanity first: both paths must emit identical bytes for one hop.
+  // Sanity first: all paths must emit identical bytes for one hop.
   {
     const wire::Frame frame = sample_packet(128).serialize();
     wire::Packet legacy = wire::Packet::parse(frame);
     wire::Packet fast = wire::Packet::parse_backed(
         wire::FrameHandle::copy_of(frame));
+    wire::SwitchPacket view =
+        wire::SwitchPacket::parse(wire::FrameHandle::copy_of(frame));
     mutate_hop(legacy, 7);
     mutate_hop(fast, 7);
-    NETCLONE_CHECK(fast.serialize_pooled().to_frame() == legacy.serialize(),
+    mutate_hop(view, 7);
+    const wire::Frame oracle = legacy.serialize();
+    NETCLONE_CHECK(fast.serialize_pooled().to_frame() == oracle,
                    "fast path bytes diverge from the legacy oracle");
+    NETCLONE_CHECK(view.deparse().to_frame() == oracle,
+                   "switch path bytes diverge from the legacy oracle");
   }
 
   constexpr std::size_t kHopIters = 400000;
@@ -187,9 +215,9 @@ int main(int argc, char** argv) {
   std::printf("packet path bench: payload %zu B, best of 3\n\n", kPayload);
 
   const double hop_legacy =
-      best_of_3([] { return bench_per_hop(false, kHopIters, kPayload); });
+      best_of_3([] { return bench_per_hop_legacy(kHopIters, kPayload); });
   const double hop_fast =
-      best_of_3([] { return bench_per_hop(true, kHopIters, kPayload); });
+      best_of_3([] { return bench_per_hop_fast(kHopIters, kPayload); });
   std::printf("per-hop (parse+mutate+deparse):\n");
   std::printf("  legacy : %12.0f frames/s\n", hop_legacy);
   std::printf("  fast   : %12.0f frames/s   (%.2fx)\n\n", hop_fast,

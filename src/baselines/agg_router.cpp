@@ -40,7 +40,7 @@ void AggRouterProgram::add_ecmp_prefix(wire::Ipv4Address prefix,
   routes_.insert(prefix, len, NextHops{std::move(ports)});
 }
 
-void AggRouterProgram::on_ingress(wire::Packet& pkt,
+void AggRouterProgram::on_ingress(wire::SwitchPacket& pkt,
                                   pisa::PacketMetadata& md,
                                   pisa::PipelinePass& pass) {
   const NextHops* hops = routes_.find(pass, pkt.ip.dst);

@@ -53,7 +53,7 @@ void NetCloneRackSchedProgram::add_route(wire::Ipv4Address ip,
   fwd_table_.insert(ip.value, port);
 }
 
-void NetCloneRackSchedProgram::on_ingress(wire::Packet& pkt,
+void NetCloneRackSchedProgram::on_ingress(wire::SwitchPacket& pkt,
                                           pisa::PacketMetadata& md,
                                           pisa::PipelinePass& pass) {
   if (!pkt.has_netclone()) {
@@ -71,7 +71,7 @@ void NetCloneRackSchedProgram::on_ingress(wire::Packet& pkt,
   }
 }
 
-void NetCloneRackSchedProgram::handle_request(wire::Packet& pkt,
+void NetCloneRackSchedProgram::handle_request(wire::SwitchPacket& pkt,
                                               pisa::PacketMetadata& md,
                                               pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
@@ -132,7 +132,7 @@ void NetCloneRackSchedProgram::handle_request(wire::Packet& pkt,
   forward_to(entry->ip, md, pass);
 }
 
-void NetCloneRackSchedProgram::handle_response(wire::Packet& pkt,
+void NetCloneRackSchedProgram::handle_response(wire::SwitchPacket& pkt,
                                                pisa::PacketMetadata& md,
                                                pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();

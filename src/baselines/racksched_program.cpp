@@ -24,7 +24,7 @@ void RackSchedProgram::add_route(wire::Ipv4Address ip, std::size_t port) {
   fwd_table_.insert(ip.value, port);
 }
 
-void RackSchedProgram::on_ingress(wire::Packet& pkt,
+void RackSchedProgram::on_ingress(wire::SwitchPacket& pkt,
                                   pisa::PacketMetadata& md,
                                   pisa::PipelinePass& pass) {
   if (!pkt.has_netclone()) {
@@ -67,7 +67,7 @@ void RackSchedProgram::on_ingress(wire::Packet& pkt,
   md.egress_port = *port;
 }
 
-void RackSchedProgram::handle_request(wire::Packet& pkt,
+void RackSchedProgram::handle_request(wire::SwitchPacket& pkt,
                                       pisa::PacketMetadata& md,
                                       pisa::PipelinePass& pass) {
   ++stats_.requests;

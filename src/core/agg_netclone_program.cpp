@@ -66,7 +66,7 @@ void AggNetCloneProgram::add_route(wire::Ipv4Address ip, std::size_t port) {
   fwd_table_.insert(route_key(ip), port);
 }
 
-void AggNetCloneProgram::on_ingress(wire::Packet& pkt,
+void AggNetCloneProgram::on_ingress(wire::SwitchPacket& pkt,
                                     pisa::PacketMetadata& md,
                                     pisa::PipelinePass& pass) {
   if (!pkt.has_netclone()) {
@@ -95,7 +95,7 @@ void AggNetCloneProgram::on_ingress(wire::Packet& pkt,
   }
 }
 
-void AggNetCloneProgram::handle_request(wire::Packet& pkt,
+void AggNetCloneProgram::handle_request(wire::SwitchPacket& pkt,
                                         pisa::PacketMetadata& md,
                                         pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
@@ -196,7 +196,7 @@ void AggNetCloneProgram::handle_request(wire::Packet& pkt,
   md.egress_port = *port;
 }
 
-void AggNetCloneProgram::handle_response(wire::Packet& pkt,
+void AggNetCloneProgram::handle_response(wire::SwitchPacket& pkt,
                                          pisa::PacketMetadata& md,
                                          pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
@@ -257,7 +257,7 @@ void AggNetCloneProgram::handle_response(wire::Packet& pkt,
   l3_forward(pkt, md, pass);
 }
 
-void AggNetCloneProgram::handle_chain_sync(wire::Packet& pkt,
+void AggNetCloneProgram::handle_chain_sync(wire::SwitchPacket& pkt,
                                            pisa::PacketMetadata& md) {
   wire::NetCloneHeader& nc = pkt.nc();
   ++stats_.chain_sync_markers;
@@ -345,7 +345,7 @@ void AggNetCloneProgram::install_sync_record(
   }
 }
 
-void AggNetCloneProgram::l3_forward(const wire::Packet& pkt,
+void AggNetCloneProgram::l3_forward(const wire::SwitchPacket& pkt,
                                     pisa::PacketMetadata& md,
                                     pisa::PipelinePass& pass) {
   const auto* port = fwd_table_.find(pass, route_key(pkt.ip.dst));

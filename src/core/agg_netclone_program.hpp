@@ -187,7 +187,7 @@ class AggNetCloneProgram final : public pisa::SwitchProgram {
 
   // -- data plane ---------------------------------------------------------
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "AggNetClone"; }
@@ -212,14 +212,14 @@ class AggNetCloneProgram final : public pisa::SwitchProgram {
     std::uint16_t mcast_group = 0;
   };
 
-  void handle_request(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_request(wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                       pisa::PipelinePass& pass);
-  void handle_response(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_response(wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                        pisa::PipelinePass& pass);
-  void handle_chain_sync(wire::Packet& pkt, pisa::PacketMetadata& md);
+  void handle_chain_sync(wire::SwitchPacket& pkt, pisa::PacketMetadata& md);
   void fill_sync_record(AggChainSyncRecord& record);
   void install_sync_record(const AggChainSyncRecord& record);
-  void l3_forward(const wire::Packet& pkt, pisa::PacketMetadata& md,
+  void l3_forward(const wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass);
 
   NetCloneConfig config_;

@@ -113,7 +113,8 @@ void NetCloneProgram::assign_request_id(wire::NetCloneHeader& nc,
   nc.req_id = seq_.execute(pass, [](std::uint32_t& c) { return ++c; });
 }
 
-void NetCloneProgram::on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+void NetCloneProgram::on_ingress(wire::SwitchPacket& pkt,
+                                 pisa::PacketMetadata& md,
                                  pisa::PipelinePass& pass) {
   if (!pkt.has_netclone()) {
     l3_forward(pkt, md, pass);
@@ -141,7 +142,7 @@ void NetCloneProgram::on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
   }
 }
 
-void NetCloneProgram::handle_request(wire::Packet& pkt,
+void NetCloneProgram::handle_request(wire::SwitchPacket& pkt,
                                      pisa::PacketMetadata& md,
                                      pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
@@ -260,7 +261,8 @@ void NetCloneProgram::handle_request(wire::Packet& pkt,
 }
 
 void NetCloneProgram::handle_continuation_fragment(
-    wire::Packet& pkt, pisa::PacketMetadata& md, pisa::PipelinePass& pass) {
+    wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
+    pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
   ++stats_.continuation_fragments;
 
@@ -312,7 +314,7 @@ void NetCloneProgram::handle_continuation_fragment(
   md.egress_port = *port;
 }
 
-void NetCloneProgram::handle_response(wire::Packet& pkt,
+void NetCloneProgram::handle_response(wire::SwitchPacket& pkt,
                                       pisa::PacketMetadata& md,
                                       pisa::PipelinePass& pass) {
   wire::NetCloneHeader& nc = pkt.nc();
@@ -358,7 +360,7 @@ void NetCloneProgram::handle_response(wire::Packet& pkt,
   l3_forward(pkt, md, pass);
 }
 
-void NetCloneProgram::l3_forward(const wire::Packet& pkt,
+void NetCloneProgram::l3_forward(const wire::SwitchPacket& pkt,
                                  pisa::PacketMetadata& md,
                                  pisa::PipelinePass& pass) {
   const auto* port = fwd_table_.find(pass, route_key(pkt.ip.dst));

@@ -118,7 +118,7 @@ class NetCloneProgram final : public pisa::SwitchProgram {
 
   // -- data plane -----------------------------------------------------------
 
-  void on_ingress(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void on_ingress(wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "NetClone"; }
@@ -146,14 +146,14 @@ class NetCloneProgram final : public pisa::SwitchProgram {
     std::uint16_t mcast_group = 0;
   };
 
-  void handle_request(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_request(wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                       pisa::PipelinePass& pass);
-  void handle_continuation_fragment(wire::Packet& pkt,
+  void handle_continuation_fragment(wire::SwitchPacket& pkt,
                                     pisa::PacketMetadata& md,
                                     pisa::PipelinePass& pass);
-  void handle_response(wire::Packet& pkt, pisa::PacketMetadata& md,
+  void handle_response(wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                        pisa::PipelinePass& pass);
-  void l3_forward(const wire::Packet& pkt, pisa::PacketMetadata& md,
+  void l3_forward(const wire::SwitchPacket& pkt, pisa::PacketMetadata& md,
                   pisa::PipelinePass& pass);
   void assign_request_id(wire::NetCloneHeader& nc, pisa::PipelinePass& pass);
 

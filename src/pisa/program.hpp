@@ -5,7 +5,7 @@
 #include <optional>
 
 #include "pisa/pipeline.hpp"
-#include "wire/frame.hpp"
+#include "wire/switch_packet.hpp"
 
 namespace netclone::pisa {
 
@@ -25,9 +25,13 @@ class SwitchProgram {
  public:
   virtual ~SwitchProgram() = default;
 
-  /// Ingress control: reads/writes the packet headers, accesses pipeline
-  /// resources through `pass`, and steers via `md`.
-  virtual void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  /// Ingress control: reads/writes the program-visible header fields
+  /// (IPv4 src/dst and the NetClone header) of `pkt`, accesses pipeline
+  /// resources through `pass`, and steers via `md`. `pkt` is a view over
+  /// the pooled frame, not a parsed Packet: the device deparses it after
+  /// this returns, rewriting only the fields the program changed, so a
+  /// program that forwards a packet unchanged costs no header rewrite.
+  virtual void on_ingress(wire::SwitchPacket& pkt, PacketMetadata& md,
                           PipelinePass& pass) = 0;
 
   /// Human-readable program name for reports.

@@ -75,14 +75,13 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
     return;
   }
 
-  wire::Packet pkt;
+  wire::SwitchPacket pkt;
   try {
-    pkt = wire::Packet::parse_backed(frame);
+    pkt = wire::SwitchPacket::parse(std::move(frame));
   } catch (const wire::CodecError&) {
     ++stats_.parse_errors;
     return;
   }
-  frame.reset();  // the packet's backing now holds the only live references
 
   PacketMetadata md;
   md.ingress_port = port;
@@ -97,10 +96,10 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
   }
 
   // Resolve the output port set and schedule the egress after the fixed
-  // pipeline traversal latency. The deparser (serialize) runs exactly
-  // once, here; a multicast set then shares the resulting buffer across
-  // all output ports by reference count. The common unicast case carries
-  // its single port in the closure — no port set per packet.
+  // pipeline traversal latency. The deparser runs exactly once, here; a
+  // multicast set then shares the resulting buffer across all output
+  // ports by reference count. The common unicast case carries its single
+  // port in the closure — no port set per packet.
   if (md.multicast_group) {
     const PortSet* ports = mcast_groups_.find(*md.multicast_group);
     if (ports == nullptr) {
@@ -112,7 +111,7 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
     }
     ++stats_.egress_scheduled;
     auto egress = [this, out_ports = *ports,
-                   bytes = pkt.serialize_pooled()]() {
+                   bytes = pkt.deparse()]() {
       if (failed_) {
         ++stats_.flushed_in_pipeline;
         return;
@@ -126,7 +125,7 @@ void SwitchDevice::process(std::size_t port, wire::FrameHandle frame,
   } else if (md.egress_port) {
     ++stats_.egress_scheduled;
     auto egress = [this, port = *md.egress_port,
-                   bytes = pkt.serialize_pooled()]() mutable {
+                   bytes = pkt.deparse()]() mutable {
       if (failed_) {
         ++stats_.flushed_in_pipeline;
         return;

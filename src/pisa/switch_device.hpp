@@ -86,10 +86,11 @@ class SwitchDevice : public phys::Node {
   void handle_frame(std::size_t port, wire::FrameHandle frame) override;
 
  private:
-  /// Parser, ingress program and deparser. The deparser runs here, at
-  /// ingress — nothing touches the packet after the program — so the
-  /// egress event scheduled after the pipeline latency carries only the
-  /// serialized frame handle and its port (or port set).
+  /// Parser (SwitchPacket::parse), ingress program and deparser
+  /// (SwitchPacket::deparse). The deparser runs here, at ingress —
+  /// nothing touches the packet after the program — so the egress event
+  /// scheduled after the pipeline latency carries only the deparsed frame
+  /// handle and its port (or port set).
   void process(std::size_t port, wire::FrameHandle frame, bool recirculated);
   /// Hands one shared frame handle to an output port. Every port of a
   /// multicast set receives a refcount bump of the same serialized bytes —

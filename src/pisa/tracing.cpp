@@ -4,7 +4,7 @@
 
 namespace netclone::pisa {
 
-void TracingProgram::on_ingress(wire::Packet& pkt, PacketMetadata& md,
+void TracingProgram::on_ingress(wire::SwitchPacket& pkt, PacketMetadata& md,
                                 PipelinePass& pass) {
   if (!enabled_) [[likely]] {
     inner_->on_ingress(pkt, md, pass);
@@ -13,8 +13,8 @@ void TracingProgram::on_ingress(wire::Packet& pkt, PacketMetadata& md,
   record_ingress(pkt, md, pass);
 }
 
-void TracingProgram::record_ingress(wire::Packet& pkt, PacketMetadata& md,
-                                    PipelinePass& pass) {
+void TracingProgram::record_ingress(wire::SwitchPacket& pkt,
+                                    PacketMetadata& md, PipelinePass& pass) {
   TraceRecord record;
   record.pass_id = pass.id();
   record.recirculated = md.is_recirculated;

@@ -38,7 +38,7 @@ class TracingProgram final : public SwitchProgram {
                  std::size_t capacity = 1024)
       : inner_(std::move(inner)), capacity_(capacity) {}
 
-  void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  void on_ingress(wire::SwitchPacket& pkt, PacketMetadata& md,
                   PipelinePass& pass) override;
 
   [[nodiscard]] const char* name() const override { return "Tracing"; }
@@ -55,7 +55,7 @@ class TracingProgram final : public SwitchProgram {
   [[nodiscard]] bool enabled() const { return enabled_; }
 
  private:
-  void record_ingress(wire::Packet& pkt, PacketMetadata& md,
+  void record_ingress(wire::SwitchPacket& pkt, PacketMetadata& md,
                       PipelinePass& pass);
 
   std::shared_ptr<SwitchProgram> inner_;

@@ -5,68 +5,20 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "wire/checksum_delta.hpp"
 
 namespace netclone::wire {
 
 namespace {
 
-// Absolute byte offsets within a serialized frame.
-constexpr std::size_t kIpOff = EthernetHeader::kSize;           // 14
-constexpr std::size_t kUdpOff = kIpOff + Ipv4Header::kSize;     // 34
-constexpr std::size_t kIpCsumOff = kIpOff + 10;                 // 24
-constexpr std::size_t kIpSrcOff = kIpOff + 12;                  // 26
-constexpr std::size_t kIpProtoOff = kIpOff + 9;                 // 23
-constexpr std::size_t kUdpLenOff = kUdpOff + 4;                 // 38
-constexpr std::size_t kUdpCsumOff = kUdpOff + 6;                // 40
-
-/// Folds a 32-bit accumulator and returns its one's complement — the final
-/// step of every internet-checksum computation here.
-std::uint16_t fold_complement(std::uint32_t sum) {
-  while ((sum >> 16) != 0) {
-    sum = (sum & 0xFFFFU) + (sum >> 16);
-  }
-  return static_cast<std::uint16_t>(~sum & 0xFFFFU);
-}
-
-/// Compares header fields against their wire bytes and accumulates RFC 1624
-/// (eqn 3) checksum deltas: per changed byte m -> m', add (~m + m') at the
-/// byte's position within its 16-bit word (headers start at even frame
-/// offsets, so the position is the offset parity). The unchanged partner
-/// byte of a half-dirty word contributes (~x + x) = 0xFFFF == 0 in one's
-/// complement, which is why per-byte and per-word accumulation agree.
-struct FieldDelta {
-  const std::byte* old;
-  std::uint32_t sum = 0;
-  bool dirty = false;
-
-  void u8(std::size_t off, std::uint8_t v) {
-    const std::uint8_t o = load_u8(old, off);
-    if (o == v) {
-      return;
-    }
-    dirty = true;
-    const std::uint32_t shift = (off & 1U) != 0 ? 0 : 8;
-    sum += (~(static_cast<std::uint32_t>(o) << shift) & 0xFFFFU) +
-           (static_cast<std::uint32_t>(v) << shift);
-  }
-  void u16(std::size_t off, std::uint16_t v) {
-    if ((off & 1U) == 0) {
-      const std::uint16_t o = load_u16(old, off);
-      if (o == v) {
-        return;
-      }
-      dirty = true;
-      sum += (~static_cast<std::uint32_t>(o) & 0xFFFFU) + v;
-    } else {
-      u8(off, static_cast<std::uint8_t>(v >> 8));
-      u8(off + 1, static_cast<std::uint8_t>(v & 0xFFU));
-    }
-  }
-  void u32(std::size_t off, std::uint32_t v) {
-    u16(off, static_cast<std::uint16_t>(v >> 16));
-    u16(off + 2, static_cast<std::uint16_t>(v & 0xFFFFU));
-  }
-};
+using detail::FieldDelta;
+using detail::kIpCsumOff;
+using detail::kIpOff;
+using detail::kIpProtoOff;
+using detail::kIpSrcOff;
+using detail::kUdpCsumOff;
+using detail::kUdpLenOff;
+using detail::kUdpOff;
 
 void write_u16_at(std::byte* base, std::size_t offset, std::uint16_t v) {
   base[offset] = static_cast<std::byte>(v >> 8);
@@ -260,43 +212,17 @@ bool Packet::patch_backing() {
     return false;
   }
   if (netclone) {
-    constexpr std::size_t kNc = kUdpOff + UdpHeader::kSize;  // 42
-    const NetCloneHeader& h = *netclone;
-    udpd.u8(kNc + 0, static_cast<std::uint8_t>(h.type));
-    udpd.u8(kNc + 1, static_cast<std::uint8_t>(h.clo));
-    udpd.u16(kNc + 2, h.grp);
-    udpd.u32(kNc + 4, h.req_id);
-    udpd.u8(kNc + 8, h.sid);
-    udpd.u16(kNc + 9, h.state);
-    udpd.u8(kNc + 11, h.idx);
-    udpd.u8(kNc + 12, h.switch_id);
-    udpd.u16(kNc + 13, h.client_id);
-    udpd.u32(kNc + 15, h.client_seq);
-    udpd.u8(kNc + 19, h.frag_idx);
-    udpd.u8(kNc + 20, h.frag_count);
+    udpd.netclone(*netclone);
   }
   if (!(eth_dirty || ipd.dirty || addrd.dirty || udpd.dirty)) {
     return true;  // nothing mutated; the backing bytes are already correct
   }
 
-  // Derive the patched checksums from the accumulated deltas (RFC 1624
-  // eqn 3: HC' = ~(~HC + deltas)). A zero delta keeps the wire value even
-  // when other fields changed.
-  const std::uint32_t ip_delta = ipd.sum + addrd.sum;
-  const std::uint32_t udp_delta = udpd.sum + addrd.sum;
+  // Derive the patched checksums from the accumulated deltas.
   ip.header_checksum =
-      ip_delta != 0 ? fold_complement((~old_ip_csum & 0xFFFFU) + ip_delta)
-                    : old_ip_csum;
-  if (udp_delta != 0) {
-    std::uint16_t csum =
-        fold_complement((~old_udp_csum & 0xFFFFU) + udp_delta);
-    if (csum == 0) {
-      csum = 0xFFFF;  // RFC 768: computed zero is transmitted as all-ones
-    }
-    udp.checksum = csum;
-  } else {
-    udp.checksum = old_udp_csum;
-  }
+      detail::patched_ip_checksum(old_ip_csum, ipd.sum + addrd.sum);
+  udp.checksum =
+      detail::patched_udp_checksum(old_udp_csum, udpd.sum + addrd.sum);
 
   // Pass 2 — re-serialize the header region straight into the backing with
   // the patched checksums planted. Copy-on-write: a backed packet

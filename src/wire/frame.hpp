@@ -1,9 +1,12 @@
 // Whole-packet composition and parsing.
 //
 // A Packet is the parsed (struct) form of a frame: Ethernet + IPv4 + UDP +
-// optional NetClone header + opaque application payload. Hosts and the
-// switch model all work on Packet and serialize back to raw bytes at the
-// wire boundary — mirroring the parser/deparser split of a PISA pipeline.
+// optional NetClone header + opaque application payload. Hosts, the LÆDGE
+// coordinator, pcap and tests work on Packet and serialize back to raw
+// bytes at the wire boundary. The switch pipeline does not: its programs
+// see a wire::SwitchPacket (switch_packet.hpp), which loads and patches
+// only the fields programs use. Packet is that path's byte oracle and its
+// route for corrupted ("non-canonical") frames.
 //
 // Two serialization paths exist:
 //   * serialize() — the legacy oracle: rebuilds the whole frame and

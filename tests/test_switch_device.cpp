@@ -20,7 +20,7 @@ class EchoProgram : public SwitchProgram {
   EchoProgram(Pipeline& pipeline, std::size_t out_port)
       : counter_(pipeline, "count", 0), out_port_(out_port) {}
 
-  void on_ingress(wire::Packet&, PacketMetadata& md,
+  void on_ingress(wire::SwitchPacket&, PacketMetadata& md,
                   PipelinePass& pass) override {
     (void)counter_.execute(pass, [](std::uint32_t& c) { return ++c; });
     md.egress_port = out_port_;
@@ -36,7 +36,7 @@ class EchoProgram : public SwitchProgram {
 /// Multicasts requests to group 1, drops responses.
 class McastProgram : public SwitchProgram {
  public:
-  void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  void on_ingress(wire::SwitchPacket& pkt, PacketMetadata& md,
                   PipelinePass&) override {
     if (pkt.has_netclone() && pkt.nc().is_response()) {
       md.drop = true;
@@ -54,7 +54,7 @@ class RecircProgram : public SwitchProgram {
   RecircProgram(std::size_t loopback, std::size_t out)
       : loopback_(loopback), out_(out) {}
 
-  void on_ingress(wire::Packet& pkt, PacketMetadata& md,
+  void on_ingress(wire::SwitchPacket& pkt, PacketMetadata& md,
                   PipelinePass&) override {
     if (md.is_recirculated) {
       pkt.nc().sid = 99;
@@ -114,8 +114,8 @@ TEST(SwitchDevice, NoProgramDropsEverything) {
 
 TEST(SwitchDevice, ProgramWithoutDecisionCountsDrop) {
   class NullProgram : public SwitchProgram {
-    void on_ingress(wire::Packet&, PacketMetadata&, PipelinePass&) override {
-    }
+    void on_ingress(wire::SwitchPacket&, PacketMetadata&,
+                    PipelinePass&) override {}
     [[nodiscard]] const char* name() const override { return "Null"; }
   };
   Rig rig;

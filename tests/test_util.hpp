@@ -10,6 +10,7 @@
 #include "pisa/program.hpp"
 #include "wire/frame.hpp"
 #include "wire/rpc.hpp"
+#include "wire/switch_packet.hpp"
 
 namespace netclone::testing {
 
@@ -83,7 +84,10 @@ inline wire::Packet make_response(ServerId sid, std::uint16_t qlen,
   return resp;
 }
 
-/// Runs one packet through a switch program with fresh pass/metadata.
+/// Runs one packet through a switch program with fresh pass/metadata, the
+/// way SwitchDevice does: serialize, parse into the switch's view, run
+/// the program, deparse. `pkt` is replaced by the deparsed frame, so the
+/// caller sees the program's header rewrites.
 inline pisa::PacketMetadata run_ingress(pisa::SwitchProgram& program,
                                         pisa::Pipeline& pipeline,
                                         wire::Packet& pkt,
@@ -93,7 +97,10 @@ inline pisa::PacketMetadata run_ingress(pisa::SwitchProgram& program,
   md.ingress_port = ingress_port;
   md.is_recirculated = recirculated;
   pisa::PipelinePass pass{pipeline};
-  program.on_ingress(pkt, md, pass);
+  wire::SwitchPacket view =
+      wire::SwitchPacket::parse(wire::FrameHandle{pkt.serialize()});
+  program.on_ingress(view, md, pass);
+  pkt = wire::Packet::parse(view.deparse().to_frame());
   return md;
 }
 
